@@ -11,14 +11,13 @@ from .circle import (
     sample_uniform,
     uniform_config,
 )
-from .classify import classify, components, dismantle, recognize_canonical
+from .classify import classify, components
 from .errors import (
     CechCircleError,
     DomainError,
     InternalInconsistencyError,
     PointFileError,
     SizeError,
-    UnclassifiedError,
 )
 from .exact import (
     AllowedTypes,

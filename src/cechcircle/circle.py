@@ -2,14 +2,15 @@
 per-sample Euler characteristics, and coverage.
 
 Positions live on the unit-circumference circle [0, 1).  They may be floats
-or exact Fractions (equally spaced configurations use Fractions so that
-boundary ties are decided exactly); all predicates are pure comparisons and
-work with either.  Tie conventions follow closed arcs: a subset spans a
-simplex iff its maximum cyclic gap is >= 1 - 2t, and arcs of radius rho
-cover iff every gap is <= 2 rho.
+or exact Fractions (equally spaced configurations and point files use
+Fractions so that boundary ties are decided exactly); all predicates are
+pure comparisons and work with either.  Tie conventions follow closed
+arcs: a subset spans a simplex iff its maximum cyclic gap is >= 1 - 2t, and
+arcs of radius rho cover iff every gap is <= 2 rho.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,7 +195,20 @@ def _submasks_of(mask: int, n: int):
 # Point-file format: one decimal in [0,1) per line, '#' comments allowed.
 # ---------------------------------------------------------------------------
 
+def parse_decimal(text: str) -> Fraction:
+    """Exact rational value of a decimal string such as "0.2" or "1e-3".
+
+    Accepts the syntax of float(), so that ties such as five points 0.2
+    apart at t = 0.1 are decided exactly rather than after a binary round-off.
+    Raises ValueError for anything else and for inf and nan.
+    """
+    if not math.isfinite(float(text)):
+        raise ValueError(f"not a finite decimal: {text!r}")
+    return Fraction(text.replace("_", ""))  # float() has checked the underscores
+
+
 def load_point_file(path) -> PointConfig:
+    """Points of a point file, held as exact rationals."""
     points = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -202,7 +216,7 @@ def load_point_file(path) -> PointConfig:
             if not line:
                 continue
             try:
-                value = float(line)
+                value = parse_decimal(line)
             except ValueError:
                 raise PointFileError(line_no, f"not a decimal: {line!r}") from None
             if not 0 <= value < 1:

@@ -1,19 +1,20 @@
-"""Exact homotopy-type classification of Cech complexes of circle points.
+"""Exact homotopy type of Cech complexes of circle points.
 
-Pipeline: component split, strong-collapse dismantling of dominated
-vertices, recognition of the canonical evenly-spaced complexes N(m, k),
-and a guarded homology-oracle fallback.  Every answer is validated against
-the realizability constraint set; a violation is an internal error.
+Several components give a wedge of points, one non-covering component an arc
+(contractible), and a largest gap >= 1 - 2t the full simplex.  A covering
+configuration is decided by the winding fraction of the orbit map
+f(i) = i + c_i (mod n), where c_i counts the further points in the closed
+forward arc of length 2t from point i (Adamaszek, Adams, Frick, Peterson and
+Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016).  Every answer
+is validated against the realizability constraint set; a violation is an
+internal error.
 """
 from __future__ import annotations
 
-from .circle import PointConfig, build_complex, covers_circle, window_counts
-from .errors import DomainError, InternalInconsistencyError, UnclassifiedError
-from .exact import allowed_types, n_k_homotopy
-from .homology import betti_gf2
-from .homotopy import HomotopyType, type_from_betti
-
-_ORACLE_VERTEX_GUARD = 20
+from .circle import PointConfig, covers_circle, window_counts
+from .errors import DomainError, InternalInconsistencyError
+from .exact import allowed_types
+from .homotopy import HomotopyType
 
 
 def components(config: PointConfig, t) -> list[PointConfig]:
@@ -41,90 +42,8 @@ def components(config: PointConfig, t) -> list[PointConfig]:
     return blocks
 
 
-def _maximal_flags(counts: list[int]) -> list[bool]:
-    """Window i is maximal iff no window j strictly contains it.
-
-    Containment of cyclic intervals: window j contains window i iff
-    c_j >= c_i + (i - j mod n).  best[i] = max_d>=1 (c_{i-d} - d) is computed
-    by a max-minus-one recurrence run twice around the circle.
-    """
-    n = len(counts)
-    best = [-n] * n
-    for _ in range(2):
-        for i in range(n):
-            prev = (i - 1) % n
-            best[i] = max(counts[prev], best[prev]) - 1
-    return [best[i] < counts[i] for i in range(n)]
-
-
-def _dominated_flags(config: PointConfig, t) -> list[bool] | None:
-    """Per-vertex domination flags, or None for the full-simplex case.
-
-    Vertex v is dominated iff the intersection of all maximal windows
-    containing v holds another vertex.  With maximal cyclic intervals, that
-    intersection shrinks to {v} exactly when v's own window is maximal and
-    some maximal window ends at v.
-    """
-    n = config.n
-    if config.max_gap() >= 1 - 2 * t:
-        return None  # whole set is one simplex
-    counts = window_counts(config, t)
-    maximal = _maximal_flags(counts)
-    ends_here = [False] * n
-    for i in range(n):
-        if maximal[i]:
-            ends_here[(i + counts[i]) % n] = True
-    return [not (maximal[v] and ends_here[v]) for v in range(n)]
-
-
-def dismantle(config: PointConfig, t) -> PointConfig:
-    """Repeatedly delete the lowest-index dominated vertex until none is left.
-
-    Each deletion is a strong collapse (every maximal simplex containing the
-    vertex contains its dominator), so the homotopy type is preserved.
-    Requires a single covering component.
-    """
-    if config.n == 1:
-        return config
-    if not covers_circle(config, t):
-        raise DomainError("dismantle requires a covering configuration")
-    pts = list(config.positions)
-    while len(pts) > 1:
-        current = PointConfig(tuple(pts))
-        flags = _dominated_flags(current, t)
-        if flags is None:
-            return PointConfig((pts[-1],))  # full simplex collapses to a point
-        if current.max_gap() > 2 * t:
-            # collapses turned the covering set into an arc: contractible
-            return PointConfig((pts[-1],))
-        try:
-            v = flags.index(True)
-        except ValueError:
-            return current
-        del pts[v]
-    return PointConfig(tuple(pts))
-
-
-def recognize_canonical(config: PointConfig, t) -> tuple[int, int] | None:
-    """Return (m, k) when the complex is combinatorially N(m, k), else None.
-
-    That holds exactly when every vertex's closed forward window of length
-    2t contains the same number k of further points (all windows are then
-    maximal k+1-point consecutive runs, matching N(m, k)'s maximal faces).
-    """
-    counts = window_counts(config, t)
-    k = counts[0]
-    if any(c != k for c in counts):
-        return None
-    return config.n, k
-
-
 def classify(config: PointConfig, t) -> HomotopyType:
-    """Exact homotopy type of Cech(config, t).
-
-    Raises UnclassifiedError when dismantling stalls on an instance too
-    large for the homology oracle; never guesses.
-    """
+    """Exact homotopy type of Cech(config, t)."""
     if t <= 0:
         raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
@@ -133,21 +52,53 @@ def classify(config: PointConfig, t) -> HomotopyType:
     if len(comps) > 1:
         result = HomotopyType.wedge_even(len(comps) - 1, 0)
         return _validated(result, config.n, t)
-    if not covers_circle(config, t):
-        # connected, non-covering union of arcs is a single arc: contractible
+    if not covers_circle(config, t) or config.max_gap() >= 1 - 2 * t:
+        # a connected non-covering union of arcs is one arc, and a largest
+        # gap >= 1 - 2t makes the whole set one simplex: both contractible
         return _validated(HomotopyType.point(), config.n, t)
-    reduced = dismantle(config, t)
-    if reduced.n == 1:
-        return _validated(HomotopyType.point(), config.n, t)
-    rec = recognize_canonical(reduced, t)
-    if rec is not None:
-        m, k = rec
-        result = n_k_homotopy(m, k).canonical()
-    elif reduced.n <= _ORACLE_VERTEX_GUARD:
-        result = type_from_betti(betti_gf2(build_complex(reduced, t))).canonical()
-    else:
-        raise UnclassifiedError(reduced.n, window_counts(reduced, t))
-    return _validated(result, config.n, t)
+    return _validated(_winding_type(window_counts(config, t)), config.n, t)
+
+
+def _winding_type(counts: list[int]) -> HomotopyType:
+    """Homotopy type of a covering nerve from its forward window counts.
+
+    A periodic orbit of f(i) = i + c_i of length p winds W / n times around
+    the circle, with W the sum of c over the orbit; its winding fraction is
+    w = W / (n p), the same on every orbit.  With P periodic orbits and
+    q = w / (1 - w) = W / (n p - W): an integer q = l gives the wedge of P - 1
+    copies of S^(2l), otherwise the type is S^(2 floor(q) + 1).  Counts are
+    below n, so n p - W > 0.
+    """
+    n = len(counts)
+    walk = [-1] * n  # the start of the walk that first reached each index
+    orbits = 0
+    winding = None  # (W, n p) of the first periodic orbit found
+    for start in range(n):
+        v = start
+        while walk[v] < 0:
+            walk[v] = start
+            v = (v + counts[v]) % n
+        if walk[v] != start:
+            continue  # ran into a walk that is already accounted for
+        orbits += 1  # v lies on a periodic orbit seen for the first time
+        total, u = counts[v], (v + counts[v]) % n
+        length = 1
+        while u != v:
+            total += counts[u]
+            u = (u + counts[u]) % n
+            length += 1
+        if winding is None:
+            winding = (total, n * length)
+        elif total * winding[1] != winding[0] * n * length:
+            raise InternalInconsistencyError(
+                f"periodic orbits wind {winding[0]}/{winding[1]} and "
+                f"{total}/{n * length} times per step"
+            )
+    wound, steps = winding
+    l, r = divmod(wound, steps - wound)
+    if r == 0:
+        return HomotopyType.wedge_even(orbits - 1, l).canonical()
+    return HomotopyType.odd_sphere(l)
 
 
 def _validated(result: HomotopyType, n: int, t) -> HomotopyType:

@@ -1,8 +1,10 @@
 """Command-line surface: chi-curve, spikes, census, classify, verify.
 
 All numeric output is printed with 17 significant digits so runs are
-reproducible across platforms.  Exit codes: 0 success/PASS, 1 runtime
-failure or FAIL, 2 usage error, 3 unclassified sample.
+reproducible across platforms.  `classify` reads its point file and --t as
+exact decimals, so ties are decided exactly; the Monte Carlo commands take
+--t as a float, since random samples have no ties.  Exit codes: 0
+success/PASS, 1 runtime failure or FAIL, 2 usage error.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import json
 import os
 import sys
 
-from .circle import load_point_file
+from .circle import load_point_file, parse_decimal
 from .classify import classify
-from .errors import CechCircleError, PointFileError, UnclassifiedError
+from .errors import CechCircleError, PointFileError
 from .exact import expected_euler_curve, spike_analysis
 from .montecarlo import (
     run_census,
@@ -28,7 +30,6 @@ from .montecarlo import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-EXIT_UNCLASSIFIED = 3
 
 
 def _fmt(x) -> str:
@@ -60,7 +61,11 @@ def _table(rows: list[dict], fmt: str) -> str:
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("CECHCIRCLE_THREADS", "1"))
+    raw = os.environ.get("CECHCIRCLE_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise CechCircleError(f"CECHCIRCLE_THREADS must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="homotopy type of a point file")
     p.add_argument("--input", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=parse_decimal, required=True)
     p.add_argument("--output")
 
     p = sub.add_parser("verify", help="statistical theorem verification")
@@ -228,9 +233,6 @@ def main(argv=None) -> int:
     except PointFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnclassifiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCLASSIFIED
     except CechCircleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,21 +21,5 @@ class PointFileError(CechCircleError, ValueError):
         self.line_no = line_no
 
 
-class UnclassifiedError(CechCircleError):
-    """The classification pipeline could not determine a homotopy type.
-
-    Raised when dismantling does not reach a recognizable canonical complex
-    and the reduced instance is too large for the homology oracle.
-    """
-
-    def __init__(self, reduced_size: int, window_profile):
-        self.reduced_size = reduced_size
-        self.window_profile = tuple(window_profile)
-        super().__init__(
-            f"unclassified: reduced size {reduced_size}, "
-            f"window profile {self.window_profile}"
-        )
-
-
 class InternalInconsistencyError(CechCircleError, RuntimeError):
     """Two independent computations disagree; always a bug, never caught."""

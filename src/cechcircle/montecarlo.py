@@ -19,7 +19,7 @@ import numpy as np
 
 from .circle import PointConfig, covers_circle, _euler_from_sorted
 from .classify import classify
-from .errors import DomainError, InternalInconsistencyError, UnclassifiedError
+from .errors import DomainError, InternalInconsistencyError
 from .exact import (
     allowed_types,
     coverage_probability,
@@ -98,7 +98,6 @@ class Census:
     master_seed: int
     generator_id: str
     counts: dict[HomotopyType, int]
-    unclassified: int
     chi_checked: int    # trials cross-checked against the exact Euler DP
     chi_agreed: int     # of those, how many agreed (must equal chi_checked)
     elapsed: float
@@ -118,7 +117,6 @@ class Census:
             "master_seed": self.master_seed,
             "generator_id": self.generator_id,
             "counts": counts,
-            "unclassified": self.unclassified,
             "chi_checked": self.chi_checked,
             "chi_agreed": self.chi_agreed,
             "metadata": {"elapsed": self.elapsed},
@@ -131,23 +129,18 @@ class Census:
 def _census_chunk(args):
     n, t, master_seed, start, stop, cross_check = args
     counts: Counter = Counter()
-    unclassified = 0
     checked = agreed = 0
     rho = 1 - 2 * t
     for trial in range(start, stop):
         xs = _sorted_sample(n, trial_rng(master_seed, trial))
         config = PointConfig.from_points(xs)
-        try:
-            ht = classify(config, t)
-        except UnclassifiedError:
-            unclassified += 1
-            continue
+        ht = classify(config, t)
         counts[ht] += 1
         if cross_check:
             checked += 1
             if ht.euler_characteristic() == _euler_from_sorted(config.positions, rho):
                 agreed += 1
-    return counts, unclassified, checked, agreed
+    return counts, checked, agreed
 
 
 def run_census(
@@ -161,8 +154,8 @@ def run_census(
 ) -> Census:
     """Classify `trials` independent samples and tally homotopy types.
 
-    Unclassified samples land in their own bucket; the run never aborts.
-    The result is independent of `workers` and of scheduling.
+    Every sample is classified, so the counts sum to `trials`.  The result
+    is independent of `workers` and of scheduling.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -181,10 +174,9 @@ def run_census(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_census_chunk, jobs))
     counts: Counter = Counter()
-    unclassified = checked = agreed = 0
-    for c, u, ck, ag in chunks:
+    checked = agreed = 0
+    for c, ck, ag in chunks:
         counts.update(c)
-        unclassified += u
         checked += ck
         agreed += ag
     allowed = allowed_types(n, t)
@@ -204,7 +196,6 @@ def run_census(
         master_seed=master_seed,
         generator_id=GENERATOR_ID,
         counts=dict(counts),
-        unclassified=unclassified,
         chi_checked=checked,
         chi_agreed=agreed,
         elapsed=time.perf_counter() - started,
@@ -234,19 +225,14 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int) -> EstimateWit
 def estimate_betti(n: int, t: float, dim: int, trials: int, master_seed: int) -> EstimateWithCI:
     """Monte Carlo mean of the classifier-derived Betti number in one degree.
 
-    Unclassified samples are excluded from the mean (and would surface in a
-    census run at the same parameters).
+    Every sample is classified, so the mean is over all `trials` samples.
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
     values = []
     for trial in range(trials):
         xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        try:
-            ht = classify(PointConfig.from_points(xs), t)
-        except UnclassifiedError:
-            continue
-        betti = ht.betti()
+        betti = classify(PointConfig.from_points(xs), t).betti()
         values.append(betti[dim] if dim < len(betti) else 0)
     return _normal_estimate(values)
 
@@ -342,20 +328,16 @@ def verify_theorem_b(k: int, n: int, t: float, trials: int, master_seed: int) ->
     bound = coverage_probability(n, r_prime)  # Q_n(r'/2) has arc length r'
     target = HomotopyType.odd_sphere(k)
     hits = 0
-    unclassified = 0
     for trial in range(trials):
         xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        try:
-            if classify(PointConfig.from_points(xs), t) == target:
-                hits += 1
-        except UnclassifiedError:
-            unclassified += 1
+        if classify(PointConfig.from_points(xs), t) == target:
+            hits += 1
     est = wilson_estimate(hits, trials)
     passed = est.mean >= bound - 3 * est.std_error
     return VerifyReport("b", passed, {
         "k": k, "n": n, "t": t, "trials": trials, "master_seed": master_seed,
         "frequency": est.mean, "std_error": est.std_error,
-        "bound": bound, "r_prime": r_prime, "unclassified": unclassified,
+        "bound": bound, "r_prime": r_prime,
     })
 
 
@@ -381,11 +363,11 @@ def verify_theorem_elder_c(
     est = estimate_B(census, k, delta)
     lo = bounds.beta[0] - slack
     hi = min(1.0, bounds.beta[1] + slack)
-    passed = lo <= est.mean <= hi and census.unclassified == 0
+    passed = lo <= est.mean <= hi
     return VerifyReport("c", passed, {
         "k": k, "n": n, "t": t, "trials": trials, "master_seed": master_seed,
         "delta": delta, "epsilon": epsilon, "slack": slack,
         "B_empirical": est.mean, "std_error": est.std_error,
         "beta_lower": bounds.beta[0], "beta_upper": bounds.beta[1],
-        "window": [lo, hi], "unclassified": census.unclassified,
+        "window": [lo, hi],
     })

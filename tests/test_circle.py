@@ -22,6 +22,7 @@ from cechcircle import (
     sample_uniform,
     uniform_config,
 )
+from cechcircle.circle import parse_decimal
 from cechcircle.montecarlo import estimate_chi, trial_rng
 
 from conftest import random_config
@@ -208,6 +209,17 @@ def test_load_point_file(tmp_path):
     path.write_text("# a comment\n0.5\n0.25  # trailing comment\n\n0.75\n0.0\n")
     config = load_point_file(path)
     assert config.positions == (0.0, 0.25, 0.5, 0.75)
+
+
+def test_parse_decimal_is_exact_with_float_syntax():
+    for text, want in [("0.2", Fraction(1, 5)), (" +.5 ", Fraction(1, 2)),
+                       ("5.", Fraction(5)), ("1_0e-2", Fraction(1, 10)),
+                       ("-2.5E-1", Fraction(-1, 4))]:
+        assert float(text) == float(want)
+        assert parse_decimal(text) == want
+    for text in ("1/2", "0x1p-1", "", "1__0", "inf", "-Infinity", "nan"):
+        with pytest.raises(ValueError):
+            parse_decimal(text)
 
 
 def test_load_point_file_rejects_out_of_range(tmp_path):

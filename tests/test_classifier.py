@@ -1,9 +1,10 @@
-"""Homotopy-type classification: components, dismantling, canonical
-recognition, the full pipeline, and its agreement with the homology oracle."""
+"""Homotopy-type classification: components, the winding-fraction rule,
+and its agreement with the homology oracle and the Euler DP."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cechcircle import (
     HomotopyType,
@@ -13,15 +14,14 @@ from cechcircle import (
     build_complex,
     classify,
     components,
-    dismantle,
     euler_char_exact,
     n_k_homotopy,
-    recognize_canonical,
     type_from_betti,
     uniform_config,
 )
-from cechcircle.classify import _dominated_flags
-from cechcircle.errors import DomainError, UnclassifiedError
+from cechcircle.circle import window_counts
+from cechcircle.classify import _winding_type
+from cechcircle.errors import DomainError, InternalInconsistencyError
 
 from conftest import random_config
 
@@ -87,74 +87,14 @@ def test_components_partition():
         assert tuple(merged) == config.positions
 
 
-# ---------------------------------------------------------------------------
-# Dismantling
-# ---------------------------------------------------------------------------
-
 def test_dismantle_removes_crowded_point():
-    config = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
-    reduced = dismantle(config, 0.26)
-    assert reduced.n == 4
-    assert recognize_canonical(reduced, 0.26) == (4, 2)
-
-
-def test_dismantle_fixes_evenly_spaced():
-    for n, t in [(5, 0.31), (7, 0.2), (9, 0.4)]:
-        config = uniform_config(n)
-        assert dismantle(config, t) == config
-
-
-def test_dismantle_single_point_and_full_simplex():
-    single = PointConfig.from_points([0.3])
-    assert dismantle(single, 0.2) == single
-    rng = np.random.default_rng(32)
-    assert dismantle(random_config(rng, 8), 0.49).n == 1
-
-
-def test_dismantle_requires_covering():
-    with pytest.raises(DomainError):
-        dismantle(PointConfig.from_points([0, 0.5]), 0.1)
-
-
-def test_collapse_soundness():
-    # each single deletion of a dominated vertex preserves the exact Euler
-    # characteristic; run until 10^4 deletions have been checked
-    rng = np.random.default_rng(33)
-    deletions = 0
-    while deletions < 10**4:
-        n = int(rng.integers(4, 31))
-        config = random_config(rng, n)
-        t = float(rng.uniform(0.05, 0.49))
-        if not config.max_gap() <= 2 * t:
-            continue
-        pts = list(config.positions)
-        while len(pts) > 1:
-            current = PointConfig(tuple(pts))
-            flags = _dominated_flags(current, t)
-            if flags is None or True not in flags:
-                break
-            before = euler_char_exact(current, t)
-            del pts[flags.index(True)]
-            after = euler_char_exact(PointConfig(tuple(pts)), t)
-            assert before == after
-            deletions += 1
-
-
-# ---------------------------------------------------------------------------
-# Canonical recognition
-# ---------------------------------------------------------------------------
-
-def test_recognize_evenly_spaced():
-    assert recognize_canonical(uniform_config(5), 0.31) == (5, 3)
-    assert recognize_canonical(uniform_config(4), 0.26) == (4, 2)
-
-
-def test_recognize_rejects_uneven_windows():
-    # perturbed 5-point set with unequal window counts: not any N(5, k)
-    config = PointConfig.from_points([0, 0.19, 0.4, 0.6, 0.8])
-    from cechcircle.circle import window_counts
-    assert len(set(window_counts(config, 0.2))) > 1
-    assert recognize_canonical(config, 0.2) is None
+    # 0.01 is dominated by 0: dropping it leaves uniform_config(4), whose
+    # windows at t = 0.26 all hold 2 further points, i.e. N(4, 2) = S^2
+    crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
+    reduced = uniform_config(4)
+    assert window_counts(reduced, Fraction(26, 100)) == [2, 2, 2, 2]
+    assert classify(crowded, 0.26) == classify(reduced, 0.26) == n_k_homotopy(4, 2)
+    assert betti_gf2(build_complex(crowded, 0.26)) == betti_gf2(build_complex(reduced, 0.26))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +108,9 @@ def test_classify_examples():
     assert classify(connected_arc, 0.2) == HomotopyType.point()
     assert betti_gf2(build_complex(connected_arc, 0.2)) == (1,)
     assert classify(uniform_config(5), 0.5) == HomotopyType.point()
+    # a crowded fifth point leaves N(4, 2) = S^2
+    crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
+    assert classify(crowded, 0.26) == HomotopyType.wedge_even(1, 1)
 
 
 def test_classify_matches_oracle():
@@ -176,7 +119,7 @@ def test_classify_matches_oracle():
         n = int(rng.integers(1, 13))
         config = random_config(rng, n)
         t = float(rng.uniform(0.01, 0.49))
-        ht = classify(config, t)  # UnclassifiedError would fail the test
+        ht = classify(config, t)
         assert ht.betti() == betti_gf2(build_complex(config, t))
 
 
@@ -186,10 +129,7 @@ def test_classify_euler_consistency_large_n():
         n = int(rng.integers(2, 101))
         config = random_config(rng, n)
         t = float(rng.uniform(0.01, 0.49))
-        try:
-            ht = classify(config, t)
-        except UnclassifiedError:
-            continue
+        ht = classify(config, t)
         assert ht.euler_characteristic() == euler_char_exact(config, t)
         assert allowed_types(n, t).allows(ht)
 
@@ -203,3 +143,27 @@ def test_classify_evenly_spaced_ground_truth():
             k = int(2 * t * m)
             want = n_k_homotopy(m, min(k, m - 1)).canonical()
             assert classify(uniform_config(m), t) == want, (m, t)
+
+
+@st.composite
+def rational_grid_instance(draw):
+    """Points i/d and t = j/(4d) < 1/2: gaps and window ends tie exactly."""
+    d = draw(st.integers(1, 24))
+    idx = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 12)))
+    j = draw(st.integers(1, 2 * d - 1))
+    return PointConfig.from_points(Fraction(i, d) for i in idx), Fraction(j, 4 * d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_grid_instance())
+def test_classify_exact_ties_match_oracle_and_dp(instance):
+    config, t = instance
+    ht = classify(config, t)
+    assert ht.betti() == betti_gf2(build_complex(config, t))
+    assert ht.euler_characteristic() == euler_char_exact(config, t)
+
+
+def test_winding_type_rejects_unequal_orbit_windings():
+    # orbit {0, 2} advances 2 per step, fixed point 1 advances 0
+    with pytest.raises(InternalInconsistencyError):
+        _winding_type([2, 0, 2, 0])

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from cechcircle import cli
-from cechcircle.errors import UnclassifiedError
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +106,7 @@ def test_census_json_deterministic(capsys, tmp_path):
     a.pop("metadata"), b.pop("metadata")
     assert a == b
     assert a["n"] == 6 and a["trials"] == 50 and a["master_seed"] == 11
-    assert sum(c["count"] for c in a["counts"]) + a["unclassified"] == 50
+    assert sum(c["count"] for c in a["counts"]) == 50
     assert a["chi_checked"] == a["chi_agreed"]
 
 
@@ -126,6 +125,15 @@ def test_census_bad_trials_usage_error(capsys):
     code, _, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
                            "--trials", "0", "--seed", "1")
     assert code == 2
+
+
+def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CECHCIRCLE_THREADS", "abc")
+    code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
+                             "--trials", "3", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "CECHCIRCLE_THREADS" in err
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,25 @@ def test_classify_s0_and_s3(capsys, tmp_path):
     assert json.loads(out)["type"] == {"kind": "odd", "l": 1}
 
 
+def test_classify_decides_decimal_ties_exactly(capsys, tmp_path):
+    # five points 0.2 apart: at t = 0.1 neighbouring arcs just touch (C_5),
+    # at t = 0.3 each arc just reaches the third point on (N(5, 3))
+    path = _write_points(tmp_path, ["0", "0.2", "0.4", "0.6", "0.8"])
+    for t, want in [("0.1", "S^1"), ("0.3", "S^3")]:
+        code, out, _ = run_cli(capsys, "classify", "--input", path, "--t", t)
+        assert code == 0
+        assert json.loads(out)["display"] == want
+
+
+def test_classify_non_finite_t_usage_error(capsys, tmp_path):
+    path = _write_points(tmp_path, [0, 0.5])
+    for t in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--input", path, "--t", t])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_classify_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.1\nnot-a-number\n")
@@ -172,15 +199,6 @@ def test_classify_missing_file_is_runtime_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify",
                            "--input", str(tmp_path / "nope.txt"), "--t", "0.2")
     assert code == 1
-
-
-def test_classify_unclassified_exit_code(capsys, tmp_path, monkeypatch):
-    def boom(config, t):
-        raise UnclassifiedError(42, [1, 2, 3])
-    monkeypatch.setattr(cli, "classify", boom)
-    path = _write_points(tmp_path, [0, 0.25, 0.5, 0.75])
-    code, _, err = run_cli(capsys, "classify", "--input", path, "--t", "0.26")
-    assert code == 3
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ def test_census_determinism_and_workers():
     b = run_census(12, 0.2, 200, master_seed=9)
     c = run_census(12, 0.2, 200, master_seed=9, workers=2)
     assert _census_key_dict(a) == _census_key_dict(b) == _census_key_dict(c)
-    assert a.unclassified == c.unclassified
-    assert a.chi_checked == a.chi_agreed == 200 - a.unclassified
+    assert a.chi_checked == a.chi_agreed == 200
     assert a.generator_id == GENERATOR_ID
     da, dc = a.to_json_dict(), c.to_json_dict()
     da.pop("metadata"), dc.pop("metadata")
@@ -61,7 +60,6 @@ def test_census_contractible_regime():
 
 def test_census_constraint_keys_k2():
     census = run_census(50, 0.2525, 300, master_seed=3)
-    assert census.unclassified == 0
     assert census.chi_checked == census.chi_agreed == 300
     assert sum(census.counts.values()) == 300
 
@@ -125,7 +123,7 @@ def _artificial_census(counts, n=100, t=0.2525, trials=None):
     total = sum(counts.values())
     return Census(
         n=n, t=t, trials=trials or total, master_seed=0,
-        generator_id=GENERATOR_ID, counts=counts, unclassified=0,
+        generator_id=GENERATOR_ID, counts=counts,
         chi_checked=0, chi_agreed=0, elapsed=0.0,
     )
 
@@ -191,5 +189,4 @@ def test_verify_elder_c_small():
     assert report.passed
     lo, hi = report.details["window"]
     assert lo <= report.details["B_empirical"] <= hi
-    assert report.details["unclassified"] == 0
     assert report.details["delta"] == pytest.approx(omega(2), rel=1e-12)

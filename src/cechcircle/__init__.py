@@ -24,26 +24,20 @@ from .exact import (
     ElderCBounds,
     SpikeAnalysis,
     TheoremBParams,
-    TheoremCParams,
     allowed_types,
     coverage_probability,
     elder_c_bounds,
     expected_euler_char,
     expected_euler_curve,
-    f_mn,
-    f_mn_peak,
-    main_prop3_bounds,
     n_k_homotopy,
     omega,
-    peak_of_power_product,
     spike_a_exact,
     spike_analysis,
     spike_center_exact,
     theorem_b_params,
-    theorem_c_params,
 )
 from .homology import SimplicialComplex, betti_gf2
-from .homotopy import HomotopyType, type_from_betti
+from .homotopy import HomotopyType
 from .montecarlo import (
     Census,
     EstimateWithCI,

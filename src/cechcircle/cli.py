@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -68,6 +69,13 @@ def _default_threads() -> int:
         raise CechCircleError(f"CECHCIRCLE_THREADS must be an integer, got {raw!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cechcircle",
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="seeded homotopy-type census")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=None)
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="statistical theorem verification")
     p.add_argument("theorem", choices=["a1", "a2", "b", "c"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_finite_float)
     p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -117,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--margin", type=float, default=0.05)
     p.add_argument("--slack", type=float, default=0.1)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for the trials of every theorem "
+                   "(default: CECHCIRCLE_THREADS, else 1); results do not depend on it")
     p.add_argument("--output")
     return parser
 
@@ -194,17 +204,18 @@ def cmd_verify(args) -> int:
     if args.theorem == "a1":
         if args.t is None:
             raise CechCircleError("verify a1 requires --t")
-        report = verify_theorem_a1(args.n, args.t, args.trials, args.seed)
+        report = verify_theorem_a1(args.n, args.t, args.trials, args.seed, workers)
     elif args.theorem == "a2":
         if args.k is None:
             raise CechCircleError("verify a2 requires --k")
         report = verify_theorem_a2(
             args.k, args.n, args.trials, args.seed, t=args.t, margin=args.margin,
+            workers=workers,
         )
     elif args.theorem == "b":
         if args.k is None or args.t is None:
             raise CechCircleError("verify b requires --k and --t")
-        report = verify_theorem_b(args.k, args.n, args.t, args.trials, args.seed)
+        report = verify_theorem_b(args.k, args.n, args.t, args.trials, args.seed, workers)
     else:
         if args.k is None:
             raise CechCircleError("verify c requires --k")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DomainError
@@ -23,10 +24,6 @@ from .homotopy import HomotopyType
 
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +159,22 @@ class SpikeAnalysis:
     a_mn: float
     b_mn: float
     omega_m: float
-    window_rho: tuple[float, float] | None
+    window_rho: tuple[float, float]
 
 
-def spike_analysis(m: int, n: int, epsilon: float = 0.1, *, window: bool = True) -> SpikeAnalysis:
+def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     """Height bounds and localization window of the m-th Euler spike.
 
-    The exact height bounds a_mn, b_mn require 2 <= m and m < sqrt(n); the
-    localization window additionally requires n > 2m^2 and epsilon in (0,1).
-    Pass ``window=False`` to compute the bounds alone under the weaker
-    precondition 2 <= m < n.
+    Requires 2 <= m, m < sqrt(n), n > 2m^2 and epsilon in (0,1).
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
-    if window:
-        if not m * m < n:
-            raise DomainError(f"need m < sqrt(n): m^2={m * m} >= n={n}")
-        if not n > 2 * m * m:
-            raise DomainError(f"need n > 2m^2: n={n} <= {2 * m * m}")
-        if not 0 < epsilon < 1:
-            raise DomainError(f"need epsilon in (0,1), got {epsilon}")
-    elif not m < n:
-        raise DomainError(f"need m < n, got m={m}, n={n}")
+    if not m * m < n:
+        raise DomainError(f"need m < sqrt(n): m^2={m * m} >= n={n}")
+    if not n > 2 * m * m:
+        raise DomainError(f"need n > 2m^2: n={n} <= {2 * m * m}")
+    if not 0 < epsilon < 1:
+        raise DomainError(f"need epsilon in (0,1), got {epsilon}")
 
     center_t = (m - 1) * n / (2 * (n - 1) * m)
     lg_a = (
@@ -195,12 +186,10 @@ def spike_analysis(m: int, n: int, epsilon: float = 0.1, *, window: bool = True)
     )
     a_mn = math.exp(lg_a)
     b_mn = math.exp(1.0 + (m - 1) * math.log(n) + (n - 1) * math.log(m / (m + 1)))
-    win = None
-    if window:
-        center_rho = (n - m) / ((n - 1) * m)
-        half = epsilon * math.sqrt(m - 1) / n
-        win = (center_rho * (1 - half), center_rho * (1 + half))
-    return SpikeAnalysis(m, n, center_t, a_mn, b_mn, omega(m), win)
+    center_rho = (n - m) / ((n - 1) * m)
+    half = epsilon * math.sqrt(m - 1) / n
+    window = (center_rho * (1 - half), center_rho * (1 + half))
+    return SpikeAnalysis(m, n, center_t, a_mn, b_mn, omega(m), window)
 
 
 def spike_center_exact(m: int, n: int) -> Fraction:
@@ -221,66 +210,6 @@ def spike_a_exact(m: int, n: int) -> Fraction:
         raise DomainError("need 2 <= m < n")
     num = math.comb(n, m) * (m - 1) ** (m - 1) * (n - m) ** (n - m)
     return Fraction(num, n * (n - 1) ** (n - 1))
-
-
-@dataclass(frozen=True)
-class PowerProductPeak:
-    """Extremum data of t^a (1-t)^b on [0, 1]."""
-
-    a: float
-    b: float
-    t0: float
-    max_value: float
-    u: float  # equals max_value; slope constant of the linear lower bounds
-    v: float  # sqrt((a+b)/(ab)); slope constant of the linear lower bounds
-
-    def lambda_window_radius(self, lam: float) -> float:
-        """Radius around t0 within which the value exceeds lam * max_value."""
-        if not 0 <= lam <= 1:
-            raise DomainError("lambda must be in [0,1]")
-        return (1 - lam) * math.sqrt(self.a * self.b) / (self.a + self.b) ** 1.5
-
-    def linear_lower_bound(self, t: float) -> float:
-        """The linear minorant of t^a (1-t)^b valid on the side of t0 containing t."""
-        s = 1.0 if t < self.t0 else -1.0
-        return self.u * (s * (self.a + self.b) * self.v * t - s * self.a * self.v + 1.0)
-
-
-def peak_of_power_product(a: float, b: float) -> PowerProductPeak:
-    """Unique maximum of t^a (1-t)^b over [0,1], for a, b >= 1."""
-    if a < 1 or b < 1:
-        raise DomainError("need a, b >= 1")
-    t0 = a / (a + b)
-    mx = math.exp(a * math.log(a) + b * math.log(b) - (a + b) * math.log(a + b))
-    v = math.sqrt((a + b) / (a * b))
-    return PowerProductPeak(a, b, t0, mx, mx, v)
-
-
-def f_mn(m: int, n: int, t: float) -> float:
-    """The dominant spike summand C(n,m) (mt)^(m-1) (1-mt)^(n-m)."""
-    if m < 1 or n < 1:
-        raise DomainError("need m, n >= 1")
-    mt = m * t
-    if not 0 <= mt <= 1:
-        raise DomainError(f"need 0 <= m*t <= 1, got {mt}")
-    lg = _log_comb(n, m)
-    if m > 1:
-        if mt == 0:
-            return 0.0
-        lg += (m - 1) * math.log(mt)
-    if n > m:
-        if mt == 1:
-            return 0.0
-        lg += (n - m) * math.log(1 - mt)
-    return math.exp(lg)
-
-
-def f_mn_peak(m: int, n: int) -> tuple[float, float]:
-    """Maximizer t0 = (1 - 1/m)/(n-1) of f_mn and the value there."""
-    if m < 1 or n < 2:
-        raise DomainError("need m >= 1 and n >= 2")
-    t0 = (1 - 1 / m) / (n - 1)
-    return t0, f_mn(m, n, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,40 +234,6 @@ def theorem_b_params(k: int) -> TheoremBParams:
         raise DomainError("k must be >= 0")
     denom = 4 * (k + 1) * (k + 2)
     return TheoremBParams(k, (2 * k * k + 4 * k + 1) / denom, 1 / denom)
-
-
-@dataclass(frozen=True)
-class TheoremCParams:
-    """Even-wedge spike: parameters of the probability lower bound."""
-
-    k: int
-    eta: float
-    n: int
-    rho_kn: float           # corrected window center, in t-coordinates
-    rho_kn_printed: float   # the published value, recorded for reference only
-    sigma_k_eta: float
-    omega_k: float
-    prob_lower: float
-    wedge_range: tuple[int, int]  # inclusive bounds on a+1
-
-
-def theorem_c_params(k: int, eta: float, n: int) -> TheoremCParams:
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    if not 0 < eta < 1:
-        raise DomainError("eta must be in (0,1)")
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    w = omega(k)
-    # The published center n(k+1)/(2k(n-1)) exceeds 1/2; the value consistent
-    # with the B_{k,delta} window center (n-k)/((n-1)k) in rho-coordinates is
-    # n(k-1)/(2k(n-1)), which is what all computations use.
-    rho = n * (k - 1) / (2 * k * (n - 1))
-    rho_printed = n * (k + 1) / (2 * k * (n - 1))
-    sigma = (1 - eta) ** 3 * (k * w) ** 3 / (320 * math.sqrt(k + 2))
-    lo = math.ceil((1 - eta) * w * n / 2)
-    hi = math.floor(n / k)
-    return TheoremCParams(k, eta, n, rho, rho_printed, sigma, w, eta * k * w, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -372,29 +267,6 @@ def elder_c_bounds(k: int, n: int, delta: float, epsilon: float) -> ElderCBounds
     beta_hi = kw / delta
     b_window = (max(0.0, beta_lo - epsilon), min(1.0, beta_hi + epsilon))
     return ElderCBounds(k, n, delta, epsilon, alpha, (beta_lo, beta_hi), b_window)
-
-
-@dataclass(frozen=True)
-class Prop3Bounds:
-    lower_raw: float
-    upper_raw: float
-    lower: float
-    upper: float
-
-
-def main_prop3_bounds(A_k: float, n: int, k: int, delta: float) -> Prop3Bounds:
-    """Bounds (kA_k - delta n)/((1-delta)n + k) <= B_{k,delta} <= kA_k/(delta n)."""
-    if A_k < 0:
-        raise DomainError("A_k must be >= 0")
-    if not 0 < delta < 1:
-        raise DomainError("delta must be in (0,1)")
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    lower = (k * A_k - delta * n) / ((1 - delta) * n + k)
-    upper = k * A_k / (delta * n)
-    return Prop3Bounds(lower, upper, clamp01(lower), clamp01(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +309,10 @@ class AllowedTypes:
         return 0
 
 
+@lru_cache(maxsize=128)
 def allowed_types(n: int, t) -> AllowedTypes:
+    """The constraint set at (n, t); cached, as classify checks every result
+    against it and one census asks for the same set on every sample."""
     if n < 1:
         raise DomainError("n must be >= 1")
     tq = Fraction(t)

@@ -96,26 +96,3 @@ class HomotopyType:
     def sort_key(self) -> tuple:
         return (self.kind, self.l, -1 if self.a is None else self.a)
 
-
-def type_from_betti(betti: tuple[int, ...]) -> HomotopyType:
-    """Invert the Betti vector of a wedge of spheres back to its homotopy type.
-
-    Valid inputs: (1,) point, (c,) disjoint points, a single extra generator
-    in one positive degree.  Anything else cannot arise from circular arcs.
-    """
-    betti = tuple(betti)
-    while betti and betti[-1] == 0:
-        betti = betti[:-1]
-    if not betti or betti[0] < 1:
-        raise DomainError(f"not a wedge-of-spheres Betti vector: {betti}")
-    if len(betti) == 1:
-        return HomotopyType.wedge_even(betti[0] - 1, 0)
-    nonzero = [(d, b) for d, b in enumerate(betti) if d >= 1 and b > 0]
-    if betti[0] != 1 or len(nonzero) != 1:
-        raise DomainError(f"not a wedge-of-spheres Betti vector: {betti}")
-    d, b = nonzero[0]
-    if d % 2 == 1:
-        if b != 1:
-            raise DomainError(f"odd-degree multiplicity {b} is not realizable")
-        return HomotopyType.odd_sphere((d - 1) // 2)
-    return HomotopyType.wedge_even(b, d // 2)

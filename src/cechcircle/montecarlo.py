@@ -1,10 +1,12 @@
 """Seeded, reproducible sampling experiments and the statistical
 verification harness.
 
-Every trial draws from an independent Philox stream keyed by
-(master_seed, trial index), so results are bit-identical regardless of
-execution order or worker count.  Proportions get Wilson intervals, means
-get normal intervals; 99% confidence by default.
+Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
+draws n uniform points from an independent Philox stream keyed by
+(master_seed, i), sorts them and evaluates one per-sample outcome, and the
+engine returns the multiset of outcomes.  Results are therefore
+bit-identical regardless of execution order or worker count.  Proportions
+get Wilson intervals, means get normal intervals; 99% confidence by default.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -25,6 +28,7 @@ from .exact import (
     coverage_probability,
     elder_c_bounds,
     expected_euler_char,
+    omega,
     theorem_b_params,
 )
 from .homotopy import HomotopyType
@@ -42,6 +46,32 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def _sorted_sample(n: int, rng) -> list[float]:
     xs = np.sort(rng.random(n))
     return [float(x) for x in xs]
+
+
+def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) -> Counter:
+    """Multiset of outcome(sorted sample of trial i, *args) over i < trials.
+
+    With more than one worker the trials are split into contiguous chunks of
+    ceil(trials / workers), run in a process pool; `outcome` and `args` must
+    then be picklable.  The result does not depend on `workers`.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if workers <= 1:
+        return _tally_chunk(outcome, n, master_seed, args, range(trials))
+    from concurrent.futures import ProcessPoolExecutor
+
+    step = -(-trials // workers)
+    chunks = [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    counts: Counter = Counter()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for chunk in pool.map(partial(_tally_chunk, outcome, n, master_seed, args), chunks):
+            counts.update(chunk)
+    return counts
+
+
+def _tally_chunk(outcome, n: int, master_seed: int, args: tuple, trials: range) -> Counter:
+    return Counter(outcome(_sorted_sample(n, trial_rng(master_seed, i)), *args) for i in trials)
 
 
 def _z(confidence: float) -> float:
@@ -98,8 +128,8 @@ class Census:
     master_seed: int
     generator_id: str
     counts: dict[HomotopyType, int]
-    chi_checked: int    # trials cross-checked against the exact Euler DP
-    chi_agreed: int     # of those, how many agreed (must equal chi_checked)
+    chi_checked: int    # trials cross-checked against the exact Euler DP: all or none
+    chi_agreed: int     # equals chi_checked, since a disagreement raises
     elapsed: float
 
     def frequency(self, ht: HomotopyType) -> float:
@@ -126,21 +156,16 @@ class Census:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def _census_chunk(args):
-    n, t, master_seed, start, stop, cross_check = args
-    counts: Counter = Counter()
-    checked = agreed = 0
-    rho = 1 - 2 * t
-    for trial in range(start, stop):
-        xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        config = PointConfig.from_points(xs)
-        ht = classify(config, t)
-        counts[ht] += 1
-        if cross_check:
-            checked += 1
-            if ht.euler_characteristic() == _euler_from_sorted(config.positions, rho):
-                agreed += 1
-    return counts, checked, agreed
+def _classified(xs: list[float], t: float, cross_check: bool) -> HomotopyType:
+    """Homotopy type of one sorted sample; with `cross_check`, its Euler
+    characteristic must equal the independent gap DP's."""
+    config = PointConfig.from_points(xs)
+    ht = classify(config, t)
+    if cross_check and ht.euler_characteristic() != _euler_from_sorted(config.positions, 1 - 2 * t):
+        raise InternalInconsistencyError(
+            f"Euler cross-check failed for {ht.display()} at t={t}, positions {config.positions}"
+        )
+    return ht
 
 
 def run_census(
@@ -154,41 +179,22 @@ def run_census(
 ) -> Census:
     """Classify `trials` independent samples and tally homotopy types.
 
-    Every sample is classified, so the counts sum to `trials`.  The result
-    is independent of `workers` and of scheduling.
+    Every sample is classified, so the counts sum to `trials`.  With
+    `cross_check`, every sample's Euler characteristic is checked against
+    the gap DP, and the first disagreement raises.  The result is
+    independent of `workers` and of scheduling.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     started = time.perf_counter()
-    chunks = []
-    if workers <= 1:
-        chunks.append(_census_chunk((n, t, master_seed, 0, trials, cross_check)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-trials // workers)
-        jobs = [
-            (n, t, master_seed, lo, min(lo + step, trials), cross_check)
-            for lo in range(0, trials, step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_census_chunk, jobs))
-    counts: Counter = Counter()
-    checked = agreed = 0
-    for c, ck, ag in chunks:
-        counts.update(c)
-        checked += ck
-        agreed += ag
     allowed = allowed_types(n, t)
+    counts = _tally(_classified, n, trials, master_seed, workers, t, cross_check)
     for ht in counts:
         if not allowed.allows(ht):
             raise InternalInconsistencyError(
                 f"census key {ht.display()} outside the constraint set"
             )
-    if agreed != checked:
-        raise InternalInconsistencyError(
-            f"Euler cross-check failed on {checked - agreed} of {checked} trials"
-        )
+    checked = trials if cross_check else 0
     return Census(
         n=n,
         t=float(t),
@@ -197,7 +203,7 @@ def run_census(
         generator_id=GENERATOR_ID,
         counts=dict(counts),
         chi_checked=checked,
-        chi_agreed=agreed,
+        chi_agreed=checked,
         elapsed=time.perf_counter() - started,
     )
 
@@ -206,7 +212,7 @@ def run_census(
 # Estimators
 # ---------------------------------------------------------------------------
 
-def estimate_chi(n: int, t: float, trials: int, master_seed: int) -> EstimateWithCI:
+def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> EstimateWithCI:
     """Monte Carlo mean of the per-sample exact Euler characteristic.
 
     Deliberately uses the gap DP rather than the classifier, so the two
@@ -214,38 +220,34 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int) -> EstimateWit
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    rho = 1 - 2 * t
-    values = []
-    for trial in range(trials):
-        xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        values.append(_euler_from_sorted(xs, rho))
-    return _normal_estimate(values)
+    counts = _tally(_euler_from_sorted, n, trials, master_seed, workers, 1 - 2 * t)
+    return _normal_estimate(list(counts.elements()))
 
 
-def estimate_betti(n: int, t: float, dim: int, trials: int, master_seed: int) -> EstimateWithCI:
-    """Monte Carlo mean of the classifier-derived Betti number in one degree.
-
-    Every sample is classified, so the mean is over all `trials` samples.
-    """
+def estimate_betti(
+    n: int, t: float, dim: int, trials: int, master_seed: int, workers: int = 1,
+) -> EstimateWithCI:
+    """Monte Carlo mean of the classifier-derived Betti number in one degree,
+    read from the census of the same samples."""
     if trials < 2:
         raise DomainError("trials must be >= 2")
+    census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
     values = []
-    for trial in range(trials):
-        xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        betti = classify(PointConfig.from_points(xs), t).betti()
-        values.append(betti[dim] if dim < len(betti) else 0)
+    for ht, count in census.counts.items():
+        betti = ht.betti()
+        values += [betti[dim] if dim < len(betti) else 0] * count
     return _normal_estimate(values)
+
+
+def _covers(xs: list[float], radius: float) -> bool:
+    return covers_circle(PointConfig.from_points(xs), radius)
 
 
 def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    hits = 0
-    for trial in range(trials):
-        xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        if covers_circle(PointConfig.from_points(xs), radius):
-            hits += 1
-    return wilson_estimate(hits, trials)
+    counts = _tally(_covers, n, trials, master_seed, 1, radius)
+    return wilson_estimate(counts[True], trials)
 
 
 def estimate_B(census: Census, k: int, delta: float) -> EstimateWithCI:
@@ -284,9 +286,9 @@ class VerifyReport:
         return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int) -> VerifyReport:
+def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> VerifyReport:
     """Empirical chi-bar against the closed form, at 3 standard errors."""
-    est = estimate_chi(n, t, trials, master_seed)
+    est = estimate_chi(n, t, trials, master_seed, workers)
     exact = expected_euler_char(n, t)
     delta = abs(est.mean - exact)
     passed = delta <= 3 * est.std_error or delta == 0
@@ -299,15 +301,17 @@ def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int) -> Verify
 
 def verify_theorem_a2(
     k: int, n: int, trials: int, master_seed: int,
-    t: float | None = None, margin: float = 0.05,
+    t: float | None = None, margin: float = 0.05, workers: int = 1,
 ) -> VerifyReport:
     """Sandwich: chi/n - margin <= b_(2k-2)/n <= chi/n with exact chi."""
     if k < 2:
         raise DomainError("k must be >= 2")
+    if n < 2:
+        raise DomainError("n must be >= 2")
     if t is None:
         t = (k - 1) * n / (2 * (n - 1) * k)  # spike center
     chi_norm = expected_euler_char(n, t) / n
-    est = estimate_betti(n, t, 2 * k - 2, trials, master_seed)
+    est = estimate_betti(n, t, 2 * k - 2, trials, master_seed, workers)
     b_norm = est.mean / n
     passed = chi_norm - margin <= b_norm <= chi_norm
     return VerifyReport("a2", passed, {
@@ -317,22 +321,19 @@ def verify_theorem_a2(
     })
 
 
-def verify_theorem_b(k: int, n: int, t: float, trials: int, master_seed: int) -> VerifyReport:
+def verify_theorem_b(
+    k: int, n: int, t: float, trials: int, master_seed: int, workers: int = 1,
+) -> VerifyReport:
     """Frequency of S^(2k+1) against the coverage bound Q_n(r'/2)."""
     params = theorem_b_params(k)
     if not abs(t - params.nu_k) < params.tau_k:
         raise DomainError(
             f"t={t} outside the open interval around nu_{k}={params.nu_k}"
         )
+    census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
+    est = wilson_estimate(census.counts.get(HomotopyType.odd_sphere(k), 0), trials)
     r_prime = params.r_prime(t)
     bound = coverage_probability(n, r_prime)  # Q_n(r'/2) has arc length r'
-    target = HomotopyType.odd_sphere(k)
-    hits = 0
-    for trial in range(trials):
-        xs = _sorted_sample(n, trial_rng(master_seed, trial))
-        if classify(PointConfig.from_points(xs), t) == target:
-            hits += 1
-    est = wilson_estimate(hits, trials)
     passed = est.mean >= bound - 3 * est.std_error
     return VerifyReport("b", passed, {
         "k": k, "n": n, "t": t, "trials": trials, "master_seed": master_seed,
@@ -348,12 +349,10 @@ def verify_theorem_elder_c(
 ) -> VerifyReport:
     """Empirical B_{k,delta} inside the analytic window, with statistical slack.
 
-    Runs at the window center t = (1 - (n-k)/((n-1)k))/2.  Also reports the
-    even-wedge event frequency in the stronger range stated for the spike
-    probability bound, without asserting that asymptotic constant.
+    Runs at the window center t = (1 - (n-k)/((n-1)k))/2, i.e. at
+    t = n(k-1)/(2k(n-1)).  The published Theorem C center n(k+1)/(2k(n-1))
+    exceeds 1/2, so the value consistent with the B_{k,delta} window is used.
     """
-    from .exact import omega
-
     if delta is None:
         delta = k * omega(k) / 2
     bounds = elder_c_bounds(k, n, delta, epsilon)

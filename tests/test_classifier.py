@@ -16,12 +16,11 @@ from cechcircle import (
     components,
     euler_char_exact,
     n_k_homotopy,
-    type_from_betti,
     uniform_config,
 )
 from cechcircle.circle import window_counts
 from cechcircle.classify import _winding_type
-from cechcircle.errors import DomainError, InternalInconsistencyError
+from cechcircle.errors import InternalInconsistencyError
 
 from conftest import random_config
 
@@ -51,17 +50,6 @@ def test_homotopy_type_json_round_trip():
         assert HomotopyType.from_json(ht.to_json()) == ht
     assert HomotopyType.odd_sphere(1).to_json() == {"kind": "odd", "l": 1}
     assert HomotopyType.wedge_even(1, 1).to_json() == {"kind": "even", "a": 1, "l": 1}
-
-
-def test_type_from_betti_round_trip():
-    for ht in [HomotopyType.odd_sphere(0), HomotopyType.odd_sphere(3),
-               HomotopyType.wedge_even(5, 0), HomotopyType.wedge_even(1, 2),
-               HomotopyType.point()]:
-        assert type_from_betti(ht.betti()) == ht
-    with pytest.raises(DomainError):
-        type_from_betti((1, 2, 3))
-    with pytest.raises(DomainError):
-        type_from_betti((1, 2))  # odd-degree multiplicity 2
 
 
 # ---------------------------------------------------------------------------

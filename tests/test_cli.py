@@ -240,3 +240,29 @@ def test_missing_subcommand_usage_error(capsys):
         cli.main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_threads_equal_serial(capsys):
+    argv = ["verify", "a1", "--n", "30", "--t", "0.26", "--trials", "200", "--seed", "4"]
+    serial = run_cli(capsys, *argv, "--threads", "1")
+    threaded = run_cli(capsys, *argv, "--threads", "2")
+    assert serial == threaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "-5", "--t", "0.2", "--trials", "10", "--seed", "1"],
+    ["census", "--n", "5", "--t", "nan", "--trials", "10", "--seed", "1"],
+    ["verify", "a1", "--n", "10", "--t", "nan", "--trials", "10", "--seed", "1"],
+    ["verify", "a2", "--k", "2", "--n", "1", "--trials", "10", "--seed", "1"],
+    ["verify", "b", "--k", "0", "--n", "0", "--t", "0.125", "--trials", "10", "--seed", "1"],
+])
+def test_monte_carlo_bad_input_usage_error(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    if argv[0] == "verify" and argv[1] == "b":
+        assert "n must be >= 1" in err

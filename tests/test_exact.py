@@ -15,17 +15,12 @@ from cechcircle import (
     elder_c_bounds,
     expected_euler_char,
     expected_euler_curve,
-    f_mn,
-    f_mn_peak,
-    main_prop3_bounds,
     n_k_homotopy,
     omega,
-    peak_of_power_product,
     spike_a_exact,
     spike_analysis,
     spike_center_exact,
     theorem_b_params,
-    theorem_c_params,
 )
 
 
@@ -208,14 +203,9 @@ def test_spike_analysis_center_and_window():
     lo, hi = spike.window_rho
     assert lo < (100 - 2) / (99 * 2) < hi
     assert spike.a_mn <= spike.a_mn + spike.b_mn
-    assert spike.omega_m > 0
-
-
-def test_spike_bounds_only_mode():
-    spike = spike_analysis(2, 4, window=False)
-    assert spike.a_mn == pytest.approx(2 / 9, rel=1e-13)
+    assert spike.a_mn == pytest.approx(float(spike_a_exact(2, 100)), rel=1e-12)
     assert spike_a_exact(2, 4) == Fraction(2, 9)
-    assert spike.window_rho is None
+    assert spike.omega_m > 0
 
 
 def test_spike_height_limit():
@@ -232,8 +222,6 @@ def test_spike_precondition_errors_name_the_inequality():
         spike_analysis(2, 7)  # 7 <= 2*2^2
     with pytest.raises(DomainError, match="epsilon"):
         spike_analysis(2, 100, 1.5)
-    with pytest.raises(DomainError, match="m < n"):
-        spike_analysis(4, 4, window=False)
 
 
 def _exact_grid_max(m: int, n: int, points: int = 41) -> Fraction:
@@ -256,91 +244,6 @@ def test_spike_sandwich(m, n):
 
 
 # ---------------------------------------------------------------------------
-# Power-product peak lemma
-# ---------------------------------------------------------------------------
-
-def test_peak_examples():
-    p = peak_of_power_product(1, 1)
-    assert (p.t0, p.max_value) == (0.5, 0.25)
-    p = peak_of_power_product(2, 1)
-    assert p.t0 == pytest.approx(2 / 3, rel=1e-15)
-    assert p.max_value == pytest.approx(4 / 27, rel=1e-14)
-    p = peak_of_power_product(3, 2)
-    assert p.t0 == pytest.approx(0.6, rel=1e-15)
-    assert p.max_value == pytest.approx(0.6**3 * 0.4**2, rel=1e-14)
-    with pytest.raises(DomainError):
-        peak_of_power_product(0.5, 2)
-    with pytest.raises(DomainError):
-        peak_of_power_product(2, 0.9)
-
-
-def _ternary_max(f, lo, hi, iters=200):
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    return f((lo + hi) / 2)
-
-
-def test_peak_matches_numeric_maximum():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = float(rng.uniform(1, 20))
-        b = float(rng.uniform(1, 20))
-        p = peak_of_power_product(a, b)
-        numeric = _ternary_max(lambda t: t**a * (1 - t) ** b, 0.0, 1.0)
-        assert abs(numeric - p.max_value) < 1e-9
-
-
-def test_peak_linear_lower_bounds():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        a = float(rng.uniform(1, 20))
-        b = float(rng.uniform(1, 20))
-        p = peak_of_power_product(a, b)
-        for t in rng.uniform(1e-6, 1 - 1e-6, size=100):
-            t = float(t)
-            assert t**a * (1 - t) ** b >= p.linear_lower_bound(t) - 1e-12
-
-
-def test_peak_lambda_window():
-    p = peak_of_power_product(4, 7)
-    for lam in [0.0, 0.3, 0.9]:
-        radius = p.lambda_window_radius(lam)
-        for t in (p.t0 - 0.999 * radius, p.t0 + 0.999 * radius):
-            assert t**4 * (1 - t) ** 7 > lam * p.max_value
-    with pytest.raises(DomainError):
-        p.lambda_window_radius(1.5)
-
-
-# ---------------------------------------------------------------------------
-# f_mn and its peak
-# ---------------------------------------------------------------------------
-
-def test_f_mn_examples():
-    assert f_mn(1, 5, 0.2) == pytest.approx(5 * 0.8**4, rel=1e-14)
-    assert f_mn(2, 4, 1 / 6) == pytest.approx(8 / 9, rel=1e-12)
-    assert f_mn(2, 9, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        f_mn(2, 4, 0.6)  # mt > 1
-
-
-def test_f_mn_peak_equals_n_times_spike_height():
-    t0, val = f_mn_peak(2, 4)
-    assert t0 == pytest.approx(1 / 6, rel=1e-15)
-    assert val == pytest.approx(4 * float(spike_a_exact(2, 4)), rel=1e-12)
-    for m, n in [(2, 50), (3, 100), (5, 200)]:
-        t0, val = f_mn_peak(m, n)
-        assert val == pytest.approx(n * float(spike_a_exact(m, n)), rel=1e-10)
-        # t0 maximizes on a local grid
-        for dt in (-1e-5, 1e-5):
-            assert f_mn(m, n, t0 + dt) <= val
-
-
-# ---------------------------------------------------------------------------
 # Theorem parameter packs
 # ---------------------------------------------------------------------------
 
@@ -356,21 +259,6 @@ def test_theorem_b_params():
         assert 0 <= p.nu_k - p.tau_k and p.nu_k + p.tau_k < 0.5
     with pytest.raises(DomainError):
         theorem_b_params(-1)
-
-
-def test_theorem_c_params():
-    p = theorem_c_params(2, 0.5, 100)
-    assert p.prob_lower == pytest.approx(1 / (2 * math.e), rel=1e-13)
-    assert p.sigma_k_eta == pytest.approx((1 / 8) * math.e**-3 / 640, rel=1e-12)
-    assert p.rho_kn == pytest.approx(100 / 396, rel=1e-15)
-    # the published center exceeds 1/2 and is recorded for reference only
-    assert p.rho_kn_printed > 0.5
-    assert 0 < p.prob_lower < 1
-    assert p.wedge_range[0] <= p.wedge_range[1]
-    with pytest.raises(DomainError):
-        theorem_c_params(1, 0.5, 100)
-    with pytest.raises(DomainError):
-        theorem_c_params(2, 1.0, 100)
 
 
 def test_elder_c_bounds():
@@ -396,19 +284,6 @@ def test_elder_c_bounds():
             assert b.alpha[0] < b.alpha[1]
     with pytest.raises(DomainError):
         elder_c_bounds(2, 100, 0.0, 0.1)
-
-
-def test_main_prop3_bounds():
-    b = main_prop3_bounds(10, 100, 2, 0.1)
-    assert b.lower == pytest.approx(10 / 92, rel=1e-14)
-    assert b.upper_raw == pytest.approx(2.0, rel=1e-15)
-    assert b.upper == 1.0
-    b = main_prop3_bounds(0, 100, 2, 0.3)
-    assert b.lower == 0.0 and b.upper == 0.0
-    b = main_prop3_bounds(0.1 * 100 / 2, 100, 2, 0.1)
-    assert b.lower_raw == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        main_prop3_bounds(-1, 100, 2, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,15 @@ def test_census_constraint_keys_k2():
     assert sum(census.counts.values()) == 300
 
 
+def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
+    from cechcircle import InternalInconsistencyError, montecarlo
+
+    monkeypatch.setattr(montecarlo, "_euler_from_sorted", lambda xs, rho: -1)
+    with pytest.raises(InternalInconsistencyError, match=r"t=0\.2, positions \(0\."):
+        run_census(6, 0.2, 5, master_seed=1)
+    assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
+
+
 def test_census_rejects_bad_trials():
     with pytest.raises(DomainError):
         run_census(5, 0.2, 0, master_seed=1)
@@ -190,3 +199,50 @@ def test_verify_elder_c_small():
     lo, hi = report.details["window"]
     assert lo <= report.details["B_empirical"] <= hi
     assert report.details["delta"] == pytest.approx(omega(2), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Trial engine: payloads pinned bit for bit, at one and at two workers
+# ---------------------------------------------------------------------------
+
+GOLDEN_DETAILS = {
+    "a1": (verify_theorem_a1, (60, 0.2525, 300, 3), {
+        "n": 60, "t": 0.2525, "trials": 300, "master_seed": 3,
+        "empirical_mean": 9.83, "std_error": 0.11205638411911484,
+        "exact": 9.881310652297701, "abs_delta": 0.051310652297701154,
+        "tolerance": 0.3361691523573445,
+    }),
+    "a2": (verify_theorem_a2, (2, 50, 300, 3), {
+        "k": 2, "n": 50, "t": 0.25510204081632654, "trials": 300, "master_seed": 3,
+        "chi_normalized": 0.18583929831199605, "betti_normalized": 0.16726666666666667,
+        "margin": 0.05, "std_error": 0.0019915055582907836,
+    }),
+    "b": (verify_theorem_b, (0, 200, 0.125, 200, 3), {
+        "k": 0, "n": 200, "t": 0.125, "trials": 200, "master_seed": 3,
+        "frequency": 1.0, "std_error": 0.0, "bound": 0.9999999994237213, "r_prime": 0.125,
+    }),
+    "c": (verify_theorem_elder_c, (2, 100, 300, 3), {
+        "k": 2, "n": 100, "t": 0.2525252525252525, "trials": 300, "master_seed": 3,
+        "delta": 0.18393972058572122, "epsilon": 0.1, "slack": 0.1,
+        "B_empirical": 1.0, "std_error": 0.0,
+        "beta_lower": 0.22539967356056415, "beta_upper": 2.0,
+        "window": [0.12539967356056414, 1.0],
+    }),
+}
+
+# run_census(30, 0.26, 400, 11): wedge multiplicity a of wedge^a(S^2) -> count
+GOLDEN_CENSUS = {1: 2, 2: 15, 3: 62, 4: 108, 5: 114, 6: 76, 7: 21, 8: 2}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("theorem", sorted(GOLDEN_DETAILS))
+def test_verify_payloads_pinned(theorem, workers):
+    verify, args, details = GOLDEN_DETAILS[theorem]
+    assert verify(*args, workers=workers).details == details
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_counts_pinned(workers):
+    census = run_census(30, 0.26, 400, 11, workers=workers)
+    assert census.counts == {HomotopyType.wedge_even(a, 1): c for a, c in GOLDEN_CENSUS.items()}
+    assert census.chi_checked == census.chi_agreed == 400

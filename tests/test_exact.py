@@ -204,8 +204,20 @@ def test_spike_analysis_center_and_window():
     assert lo < (100 - 2) / (99 * 2) < hi
     assert spike.a_mn <= spike.a_mn + spike.b_mn
     assert spike.a_mn == pytest.approx(float(spike_a_exact(2, 100)), rel=1e-12)
-    assert spike_a_exact(2, 4) == Fraction(2, 9)
     assert spike.omega_m > 0
+
+
+def test_spike_bounds_only_mode():
+    # Below n > 2m^2 there is no localization window, but the exact height
+    # bound and center are still defined for every 2 <= m < n.
+    with pytest.raises(DomainError, match="2m"):
+        spike_analysis(2, 6)  # 6 <= 2*2^2
+    assert spike_a_exact(2, 4) == Fraction(2, 9)
+    assert spike_center_exact(2, 4) == Fraction(1, 3)
+    with pytest.raises(DomainError, match="m < n"):
+        spike_a_exact(4, 4)
+    with pytest.raises(DomainError, match="m < n"):
+        spike_center_exact(4, 4)
 
 
 def test_spike_height_limit():

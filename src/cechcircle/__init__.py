@@ -11,7 +11,7 @@ from .circle import (
     sample_uniform,
     uniform_config,
 )
-from .classify import classify, components
+from .classify import classify
 from .errors import (
     CechCircleError,
     DomainError,

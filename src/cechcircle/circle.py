@@ -1,12 +1,13 @@
-"""Circle geometry: point configurations, the simplex predicate, exact
-per-sample Euler characteristics, and coverage.
+"""Circle geometry: point configurations, window counts, exact per-sample
+Euler characteristics, and coverage.
 
-Positions live on the unit-circumference circle [0, 1).  They may be floats
-or exact Fractions (equally spaced configurations and point files use
-Fractions so that boundary ties are decided exactly); all predicates are
-pure comparisons and work with either.  Tie conventions follow closed
-arcs: a subset spans a simplex iff its maximum cyclic gap is >= 1 - 2t, and
-arcs of radius rho cover iff every gap is <= 2 rho.
+Positions live on the unit-circumference circle [0, 1), as floats or exact
+Fractions (equally spaced configurations and point files).  Every reach test
+("the closed arc of length 2t from point a reaches point b") is made by
+`window_counts`, whose counts the classifier, the Euler DP and the complex
+builder all read, so each tie is decided once; its differences are exact on
+Fractions and on Philox samples (2^-53 grid).  Coverage and the test
+reference `is_simplex` compare cyclic gaps instead.
 """
 from __future__ import annotations
 
@@ -50,9 +51,6 @@ class PointConfig:
         out.append(1 - xs[-1] + xs[0])
         return tuple(out)
 
-    def max_gap(self):
-        return max(self.gaps())
-
 
 def uniform_config(n: int) -> PointConfig:
     """n equally spaced points i/n, held as exact rationals."""
@@ -90,16 +88,17 @@ def covers_circle(config: PointConfig, radius) -> bool:
     """True iff closed arcs of the given radius cover the circle (ties covered)."""
     if radius <= 0:
         raise DomainError("radius must be > 0")
-    return config.max_gap() <= 2 * radius
+    return max(config.gaps()) <= 2 * radius
 
 
-def window_counts(config: PointConfig, t) -> list[int]:
-    """For each point, how many further points lie in the closed forward arc
-    of length 2t starting there (capped at n-1).  Two-pointer, O(n)."""
-    xs = config.positions
+def window_counts(xs, t) -> list[int]:
+    """For each of the sorted positions xs, how many further points lie in
+    the closed forward arc of length 2t starting there (capped at n-1).
+    Two-pointer, O(n); it compares only x_b - x_a and 1 - (x_a - x_b) with 2t.
+    """
     n = len(xs)
     width = 2 * t
-    ext = list(xs) + [x + 1 for x in xs]
+    ext = [x - 1 for x in xs] + list(xs)
     counts = [0] * n
     e = 0
     for i in range(n):
@@ -115,34 +114,43 @@ def euler_char_exact(config: PointConfig, t) -> int:
     """Exact Euler characteristic of Cech(config, t) via the gap DP.
 
     chi = sum_s (-1)^(s-1) N_s with N_s = C(n,s) - M_s, where M_s counts
-    s-subsets all of whose cyclic gaps are < 1 - 2t.  The DP fixes the
-    lowest-index chosen point and runs a prefix-sum-accelerated chain count
-    over the remaining points; the alternating sum over s is accumulated
-    directly inside the DP (each added point flips the sign), so the whole
-    computation is O(n^2) in exact integer arithmetic.
+    s-subsets that span no simplex: no window holds them all.  The DP fixes
+    the lowest-index chosen point and runs a prefix-sum-accelerated chain
+    count over the remaining points; the alternating sum over s is
+    accumulated directly inside the DP (each added point flips the sign), so
+    the whole computation is O(n^2) in exact integer arithmetic.
     """
-    return _euler_from_sorted(config.positions, 1 - 2 * t)
+    return _euler_from_sorted(config.positions, t)
 
 
-def _euler_from_sorted(xs, rho) -> int:
-    if rho <= 0:
-        return 1  # full simplex
+def _euler_from_sorted(xs, t) -> int:
+    counts = window_counts(xs, t)
     n = len(xs)
-    total = 0  # sum over subsets with all cyclic gaps < rho of (-1)^{|S|}
+    if max(counts) == n - 1:
+        return 1  # one window holds every point: the full simplex
+    # S spans a simplex iff some window holds all of S, i.e. the window of a
+    # chosen point b reaches the chosen point cyclically before it.  Across
+    # the wrap, b's window reaches point a < b iff a < first[b].
+    first = [c - (n - 1 - j) for j, c in enumerate(counts)]
+    total = 0  # sum over subsets spanning no simplex of (-1)^{|S|}
     for i in range(n):
-        xi = xs[i]
+        reach = i + counts[i]  # a last chosen point j > reach is outside i's window
         # h[j] = signed count of index-increasing chains i = j_0 < ... < j_last = j
-        # with consecutive position gaps < rho; sign is (-1)^(chain length).
+        # in which no window reaches the previous chain point; sign is
+        # (-1)^(chain length).
         pref = [0] * (n + 1)  # pref[j+1] = h[i] + ... + h[j]
-        pref[i + 1] = -1
-        lo = i
+        pref[i + 1] = acc = -1  # acc = pref[j]
         for j in range(i + 1, n):
-            while xs[j] - xs[lo] >= rho:
-                lo += 1
-            hj = -(pref[j] - pref[lo]) if lo < j else 0
-            pref[j + 1] = pref[j] + hj
-            if hj and 1 - (xs[j] - xi) < rho:
-                total += hj
+            lo = first[j]
+            if lo < i:
+                lo = i
+            if lo < j:
+                hj = pref[lo] - acc
+                if hj:
+                    acc += hj
+                    if j > reach:
+                        total += hj
+            pref[j + 1] = acc
     return 1 + total
 
 
@@ -161,17 +169,12 @@ def build_complex(config: PointConfig, t):
     n = config.n
     if n > _ENUM_GUARD:
         raise SizeError(f"build_complex limited to n <= {_ENUM_GUARD}, got {n}")
-    counts = window_counts(config, t)
-    if 1 - 2 * t <= 0 or config.max_gap() >= 1 - 2 * t:
-        full = (1 << n) - 1
-        masks = _submasks_of(full, n)
-        return SimplicialComplex(n, sorted(masks))
-    window_masks = []
-    for i, c in enumerate(counts):
+    window_masks = set()
+    for i, c in enumerate(window_counts(config.positions, t)):
         mask = 0
         for d in range(c + 1):
             mask |= 1 << ((i + d) % n)
-        window_masks.append(mask)
+        window_masks.add(mask)
     maximal = [
         w for w in window_masks
         if not any(o != w and o | w == o for o in window_masks)

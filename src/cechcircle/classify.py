@@ -1,45 +1,23 @@
 """Exact homotopy type of Cech complexes of circle points.
 
-Several components give a wedge of points, one non-covering component an arc
-(contractible), and a largest gap >= 1 - 2t the full simplex.  A covering
-configuration is decided by the winding fraction of the orbit map
-f(i) = i + c_i (mod n), where c_i counts the further points in the closed
-forward arc of length 2t from point i (Adamaszek, Adams, Frick, Peterson and
-Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016).  Every answer
-is validated against the realizability constraint set; a violation is an
-internal error.
+Every decision is read from the forward window counts c_i of
+`circle.window_counts`, the number of further points in the closed forward
+arc of length 2t from point i, so ties are decided exactly as the Euler DP
+and the complex builder decide them, and exactly on Fractions and on Philox
+samples.  An empty window is a gap > 2t after its point: several give a
+wedge of points, one an arc (contractible).  A window holding every point
+makes the whole set one simplex.  Otherwise the arcs cover the circle and the
+type is decided by the winding fraction of the orbit map f(i) = i + c_i
+(mod n) (Adamaszek, Adams, Frick, Peterson and Previte-Johnson, "Nerve
+complexes of circular arcs", DCG 2016).  Every answer is validated against
+the realizability constraint set; a violation is an internal error.
 """
 from __future__ import annotations
 
-from .circle import PointConfig, covers_circle, window_counts
+from .circle import PointConfig, window_counts
 from .errors import DomainError, InternalInconsistencyError
 from .exact import allowed_types
 from .homotopy import HomotopyType
-
-
-def components(config: PointConfig, t) -> list[PointConfig]:
-    """Maximal blocks of cyclically consecutive points with gaps <= 2t.
-
-    One block covering all points iff the arcs of radius t cover the circle.
-    """
-    if t <= 0:
-        raise DomainError("t must be > 0")
-    xs = config.positions
-    n = len(xs)
-    gaps = config.gaps()
-    width = 2 * t
-    breaks = [i for i in range(n) if gaps[i] > width]  # gap i is after point i
-    if not breaks:
-        return [config]
-    blocks = []
-    for pos, brk in enumerate(breaks):
-        start = (breaks[pos - 1] + 1) % n
-        if start <= brk:
-            pts = xs[start:brk + 1]
-        else:
-            pts = xs[start:] + xs[:brk + 1]
-        blocks.append(PointConfig(tuple(sorted(pts))))
-    return blocks
 
 
 def classify(config: PointConfig, t) -> HomotopyType:
@@ -48,15 +26,18 @@ def classify(config: PointConfig, t) -> HomotopyType:
         raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    comps = components(config, t)
-    if len(comps) > 1:
-        result = HomotopyType.wedge_even(len(comps) - 1, 0)
-        return _validated(result, config.n, t)
-    if not covers_circle(config, t) or config.max_gap() >= 1 - 2 * t:
-        # a connected non-covering union of arcs is one arc, and a largest
-        # gap >= 1 - 2t makes the whole set one simplex: both contractible
-        return _validated(HomotopyType.point(), config.n, t)
-    return _validated(_winding_type(window_counts(config, t)), config.n, t)
+    counts = window_counts(config.positions, t)
+    n = config.n
+    breaks = counts.count(0)
+    if breaks > 1:
+        result = HomotopyType.wedge_even(breaks - 1, 0)
+    elif breaks == 1 or max(counts) == n - 1:
+        # one gap > 2t leaves a single arc, and a window holding every point
+        # makes the whole set one simplex: both contractible
+        result = HomotopyType.point()
+    else:
+        result = _winding_type(counts)
+    return _validated(result, n, t)
 
 
 def _winding_type(counts: list[int]) -> HomotopyType:

@@ -4,7 +4,7 @@ All numeric output is printed with 17 significant digits so runs are
 reproducible across platforms.  `classify` reads its point file and --t as
 exact decimals, so ties are decided exactly; the Monte Carlo commands take
 --t as a float, since random samples have no ties.  Exit codes: 0
-success/PASS, 1 runtime failure or FAIL, 2 usage error.
+success/PASS, 1 runtime failure, internal error or FAIL, 2 usage error.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import sys
 
 from .circle import load_point_file, parse_decimal
 from .classify import classify
-from .errors import CechCircleError, PointFileError
+from .errors import CechCircleError, InternalInconsistencyError
 from .exact import expected_euler_curve, spike_analysis
 from .montecarlo import (
     run_census,
@@ -61,12 +61,16 @@ def _table(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("CECHCIRCLE_THREADS", "1")
+def _workers(args) -> int:
+    """--threads, else CECHCIRCLE_THREADS, else 1; a positive integer."""
+    source = "CECHCIRCLE_THREADS" if args.threads is None else "--threads"
+    raw = os.environ.get(source, "1") if args.threads is None else str(args.threads)
     try:
-        return int(raw)
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise CechCircleError(f"CECHCIRCLE_THREADS must be an integer, got {raw!r}") from None
+        pass
+    raise CechCircleError(f"{source} must be a positive integer, got {raw!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -177,7 +181,7 @@ def cmd_spikes(args) -> int:
 
 
 def cmd_census(args) -> int:
-    workers = args.threads if args.threads is not None else _default_threads()
+    workers = _workers(args)
     census = run_census(
         args.n, args.t, args.trials, args.seed,
         workers=workers, cross_check=not args.no_cross_check,
@@ -200,7 +204,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = args.threads if args.threads is not None else _default_threads()
+    workers = _workers(args)
     if args.theorem == "a1":
         if args.t is None:
             raise CechCircleError("verify a1 requires --t")
@@ -241,9 +245,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PointFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except CechCircleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

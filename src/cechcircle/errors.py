@@ -22,4 +22,5 @@ class PointFileError(CechCircleError, ValueError):
 
 
 class InternalInconsistencyError(CechCircleError, RuntimeError):
-    """Two independent computations disagree; always a bug, never caught."""
+    """Two computations disagree; always a bug.  The CLI reports it as an
+    internal error with exit code 1, never as a usage error."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,19 +53,21 @@ def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) 
     """Multiset of outcome(sorted sample of trial i, *args) over i < trials.
 
     With more than one worker the trials are split into contiguous chunks of
-    ceil(trials / workers), run in a process pool; `outcome` and `args` must
-    then be picklable.  The result does not depend on `workers`.
+    ceil(trials / workers), run by at most min(chunks, CPUs) processes;
+    `outcome` and `args` must then be picklable; `workers` never changes the result.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if workers <= 1:
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    if workers == 1:
         return _tally_chunk(outcome, n, master_seed, args, range(trials))
     from concurrent.futures import ProcessPoolExecutor
 
     step = -(-trials // workers)
     chunks = [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
         for chunk in pool.map(partial(_tally_chunk, outcome, n, master_seed, args), chunks):
             counts.update(chunk)
     return counts
@@ -158,10 +161,10 @@ class Census:
 
 def _classified(xs: list[float], t: float, cross_check: bool) -> HomotopyType:
     """Homotopy type of one sorted sample; with `cross_check`, its Euler
-    characteristic must equal the independent gap DP's."""
+    characteristic must equal the gap DP's."""
     config = PointConfig.from_points(xs)
     ht = classify(config, t)
-    if cross_check and ht.euler_characteristic() != _euler_from_sorted(config.positions, 1 - 2 * t):
+    if cross_check and ht.euler_characteristic() != _euler_from_sorted(config.positions, t):
         raise InternalInconsistencyError(
             f"Euler cross-check failed for {ht.display()} at t={t}, positions {config.positions}"
         )
@@ -216,11 +219,11 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     """Monte Carlo mean of the per-sample exact Euler characteristic.
 
     Deliberately uses the gap DP rather than the classifier, so the two
-    sampling pipelines stay independent of each other.
+    sampling pipelines share only the window counts.
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    counts = _tally(_euler_from_sorted, n, trials, master_seed, workers, 1 - 2 * t)
+    counts = _tally(_euler_from_sorted, n, trials, master_seed, workers, t)
     return _normal_estimate(list(counts.elements()))
 
 

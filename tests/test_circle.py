@@ -1,10 +1,12 @@
-"""Circle geometry, the simplex predicate, the Euler-characteristic DP,
-coverage, the homology oracle, and the point-file format."""
+"""Circle geometry, the simplex predicate, window counts, the
+Euler-characteristic DP, coverage, the homology oracle, and the point-file
+format."""
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cechcircle import (
     DomainError,
@@ -22,10 +24,10 @@ from cechcircle import (
     sample_uniform,
     uniform_config,
 )
-from cechcircle.circle import parse_decimal
+from cechcircle.circle import parse_decimal, window_counts
 from cechcircle.montecarlo import estimate_chi, trial_rng
 
-from conftest import random_config
+from conftest import random_config, rational_grid_instance
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,42 @@ def test_coverage_duality():
         covered = covers_circle(config, 0.5 - t)
         simplex = is_simplex(config, range(config.n), t)
         assert covered == (not simplex)
+
+
+# ---------------------------------------------------------------------------
+# Window counts: the one reach test
+# ---------------------------------------------------------------------------
+
+def _reference_counts(xs, t) -> list[int]:
+    """O(n^2): further points within closed forward distance 2t, in exact rationals."""
+    q = [Fraction(x) for x in xs]
+    width = 2 * Fraction(t)
+    return [sum(b != a and (b - a) % 1 <= width for b in q) for a in q]
+
+
+@st.composite
+def philox_grid_wrap_tie(draw):
+    """Floats on the 2^-53 grid of Philox samples, with t such that the wrap
+    distance 1 - (x_a - x_b) from point a forward to point b < a equals 2t."""
+    ks = draw(st.sets(st.integers(0, 2**53 - 1), min_size=2, max_size=12))
+    xs = tuple(k * 2.0**-53 for k in sorted(ks))
+    a = draw(st.integers(1, len(xs) - 1))
+    b = draw(st.integers(0, a - 1))
+    return xs, (1 - (xs[a] - xs[b])) / 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_grid_instance())
+def test_window_counts_match_exact_reference_on_rational_grids(instance):
+    config, t = instance
+    assert window_counts(config.positions, t) == _reference_counts(config.positions, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(philox_grid_wrap_tie())
+def test_window_counts_exact_at_wrap_ties_on_the_philox_grid(instance):
+    xs, t = instance
+    assert window_counts(xs, t) == _reference_counts(xs, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Homotopy-type classification: components, the winding-fraction rule,
+"""Homotopy-type classification: window counts, the winding-fraction rule,
 and its agreement with the homology oracle and the Euler DP."""
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from cechcircle import (
     betti_gf2,
     build_complex,
     classify,
-    components,
     euler_char_exact,
     n_k_homotopy,
     uniform_config,
@@ -22,7 +21,7 @@ from cechcircle.circle import window_counts
 from cechcircle.classify import _winding_type
 from cechcircle.errors import InternalInconsistencyError
 
-from conftest import random_config
+from conftest import random_config, rational_grid_instance
 
 
 # ---------------------------------------------------------------------------
@@ -52,35 +51,12 @@ def test_homotopy_type_json_round_trip():
     assert HomotopyType.wedge_even(1, 1).to_json() == {"kind": "even", "a": 1, "l": 1}
 
 
-# ---------------------------------------------------------------------------
-# Components
-# ---------------------------------------------------------------------------
-
-def test_components_examples():
-    blocks = components(PointConfig.from_points([0, 0.5]), 0.2)
-    assert [b.positions for b in blocks] == [(0,), (0.5,)]
-    config = PointConfig.from_points([0, 0.1, 0.45, 0.55])
-    assert len(components(config, 0.2)) == 1  # only the wrap gap 0.45 > 0.4
-    for n in (3, 8):
-        assert len(components(uniform_config(n), Fraction(1, 2 * n))) == 1
-
-
-def test_components_partition():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        config = random_config(rng, int(rng.integers(1, 20)))
-        t = float(rng.uniform(0.01, 0.49))
-        blocks = components(config, t)
-        merged = sorted(p for b in blocks for p in b.positions)
-        assert tuple(merged) == config.positions
-
-
 def test_dismantle_removes_crowded_point():
     # 0.01 is dominated by 0: dropping it leaves uniform_config(4), whose
     # windows at t = 0.26 all hold 2 further points, i.e. N(4, 2) = S^2
     crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
     reduced = uniform_config(4)
-    assert window_counts(reduced, Fraction(26, 100)) == [2, 2, 2, 2]
+    assert window_counts(reduced.positions, Fraction(26, 100)) == [2, 2, 2, 2]
     assert classify(crowded, 0.26) == classify(reduced, 0.26) == n_k_homotopy(4, 2)
     assert betti_gf2(build_complex(crowded, 0.26)) == betti_gf2(build_complex(reduced, 0.26))
 
@@ -133,15 +109,6 @@ def test_classify_evenly_spaced_ground_truth():
             assert classify(uniform_config(m), t) == want, (m, t)
 
 
-@st.composite
-def rational_grid_instance(draw):
-    """Points i/d and t = j/(4d) < 1/2: gaps and window ends tie exactly."""
-    d = draw(st.integers(1, 24))
-    idx = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 12)))
-    j = draw(st.integers(1, 2 * d - 1))
-    return PointConfig.from_points(Fraction(i, d) for i in idx), Fraction(j, 4 * d)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rational_grid_instance())
 def test_classify_exact_ties_match_oracle_and_dp(instance):
@@ -149,6 +116,48 @@ def test_classify_exact_ties_match_oracle_and_dp(instance):
     ht = classify(config, t)
     assert ht.betti() == betti_gf2(build_complex(config, t))
     assert ht.euler_characteristic() == euler_char_exact(config, t)
+
+
+def test_classify_philox_sample_with_wrap_tie():
+    # the wrap distance from the last point forward to the second ties 2t;
+    # counting the tie, f has the single periodic orbit {1, 6} with q = 1,
+    # the wedge of no 2-spheres
+    xs = [float.fromhex(h) for h in (
+        "0x1.db390f61624a0p-6", "0x1.dccc3ae421bfep-2", "0x1.7ad3fd76d4330p-1",
+        "0x1.7bcb84164d839p-1", "0x1.972395bc8fbbcp-1", "0x1.d83afa6eb8c9ep-1",
+        "0x1.e288db0c11fdep-1")]
+    config = PointConfig.from_points(xs)
+    t = float.fromhex("0x1.0bdd4265fee21p-2")
+    ht = classify(config, t)
+    assert ht == HomotopyType.point()
+    assert ht.euler_characteristic() == euler_char_exact(config, t)
+    assert ht.betti() == betti_gf2(build_complex(config, t))
+
+
+@st.composite
+def decimal_grid_instance(draw):
+    """Float points k/d and t = j/(4d) < 1/2, as a user types them in decimal."""
+    d = draw(st.sampled_from([8, 10, 20, 25, 40, 100]))
+    idx = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 10)))
+    j = draw(st.integers(1, 2 * d - 1))
+    return PointConfig.from_points(k / d for k in idx), j / (4 * d)
+
+
+def _assert_classify_agrees(config, t):
+    ht = classify(config, t)
+    assert ht.euler_characteristic() == euler_char_exact(config, t)
+    assert ht.betti() == betti_gf2(build_complex(config, t))
+
+
+def test_classify_decimal_floats_pinned():
+    config = PointConfig.from_points([0.125, 0.3, 0.35, 0.6, 0.625, 0.85])
+    _assert_classify_agrees(config, 0.0125)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(decimal_grid_instance())
+def test_classify_decimal_floats_match_dp_and_oracle(instance):
+    _assert_classify_agrees(*instance)
 
 
 def test_winding_type_rejects_unequal_orbit_windings():

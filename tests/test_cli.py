@@ -136,6 +136,26 @@ def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and "CECHCIRCLE_THREADS" in err
 
 
+def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_euler_from_sorted", lambda xs, t: -1)
+    code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
+                             "--trials", "3", "--seed", "1", "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: Euler cross-check failed")
+
+
+def test_census_zero_threads_env_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CECHCIRCLE_THREADS", "0")
+    code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
+                             "--trials", "3", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: CECHCIRCLE_THREADS must be a positive integer")
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -255,6 +275,9 @@ def test_verify_threads_equal_serial(capsys):
     ["verify", "a1", "--n", "10", "--t", "nan", "--trials", "10", "--seed", "1"],
     ["verify", "a2", "--k", "2", "--n", "1", "--trials", "10", "--seed", "1"],
     ["verify", "b", "--k", "0", "--n", "0", "--t", "0.125", "--trials", "10", "--seed", "1"],
+    ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "0"],
+    ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "-4"],
+    ["verify", "a1", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "0"],
 ])
 def test_monte_carlo_bad_input_usage_error(capsys, argv):
     try:

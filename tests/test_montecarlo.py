@@ -73,6 +73,35 @@ def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
     assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
 
 
+def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class RecordingPool:  # runs the chunks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = run_census(6, 0.2, 10, master_seed=4).counts
+    for cpus, workers in ((3, 2), (3, 64), (None, 64)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_census(6, 0.2, 10, master_seed=4, workers=workers).counts == serial
+    assert started == [2, 3, 1]
+    with pytest.raises(DomainError):
+        run_census(6, 0.2, 10, master_seed=4, workers=0)
+
+
 def test_census_rejects_bad_trials():
     with pytest.raises(DomainError):
         run_census(5, 0.2, 0, master_seed=1)

@@ -6,8 +6,10 @@ Fractions (equally spaced configurations and point files).  Every reach test
 ("the closed arc of length 2t from point a reaches point b") is made by
 `window_counts`, whose counts the classifier, the Euler DP and the complex
 builder all read, so each tie is decided once; its differences are exact on
-Fractions and on Philox samples (2^-53 grid).  Coverage and the test
-reference `is_simplex` compare cyclic gaps instead.
+Fractions and on Philox samples (2^-53 grid).  The Euler DP needs nothing
+else: its chain counts reduce to ancestor tests on a tree read from the
+counts, O(n) steps on random samples.  Coverage and the test reference
+`is_simplex` compare cyclic gaps instead.
 """
 from __future__ import annotations
 
@@ -114,44 +116,57 @@ def euler_char_exact(config: PointConfig, t) -> int:
     """Exact Euler characteristic of Cech(config, t) via the gap DP.
 
     chi = sum_s (-1)^(s-1) N_s with N_s = C(n,s) - M_s, where M_s counts
-    s-subsets that span no simplex: no window holds them all.  The DP fixes
-    the lowest-index chosen point and runs a prefix-sum-accelerated chain
-    count over the remaining points; the alternating sum over s is
-    accumulated directly inside the DP (each added point flips the sign), so
-    the whole computation is O(n^2) in exact integer arithmetic.
+    s-subsets that span no simplex: no window holds them all.  The DP's
+    chain counts telescope into ancestor tests on a tree over 0..n (see
+    `_euler_from_sorted`), so the exact integer answer takes O(n) steps on
+    random samples and never more than O(n^2).
     """
     return _euler_from_sorted(config.positions, t)
 
 
 def _euler_from_sorted(xs, t) -> int:
+    """Euler characteristic of Cech(xs, t) for sorted positions xs.
+
+    A set S spans no simplex iff no window of a chosen point reaches the
+    chosen point cyclically before it.  Fix the lowest chosen index i and
+    let h_i[j] be the signed count, (-1)^(length), of chains i = j_0 < ... <
+    j_last = j in which no window reaches the previous chain point, with
+    prefix sums pref_i[j+1] = h_i[i] + ... + h_i[j].  Across the wrap, j's
+    window reaches a < j iff a < first_j = c_j - (n-1-j), with c the
+    `window_counts`.  So pref_i[m] = 0 for m <= i, pref_i[i+1] = -1, and
+    pref_i[j+1] = pref_i[p(j+1)] for j > i, with parent p(j+1) =
+    max(first_j, 0) <= j.  Hence pref_i[k] = -1 exactly when i+1 lies on
+    the path k -> p(k) -> ... -> 0, and 0 otherwise.  A chain must end past
+    i's window, beyond i + c_i, and the sum of h_i over those ends
+    telescopes to pref_i[n] - pref_i[min(i + c_i + 1, n)]:
+
+        chi = 1 + #{i : i+1 lies on the path from min(i + c_i + 1, n)}
+                - #{nodes >= 1 on the path from n}.
+
+    Each test walks the path down to i+1 in at most c_i steps, and in about
+    2t/(1-2t) steps on random samples, where a step jumps back by about
+    n(1-2t) points.
+    """
     counts = window_counts(xs, t)
     n = len(xs)
     if max(counts) == n - 1:
         return 1  # one window holds every point: the full simplex
-    # S spans a simplex iff some window holds all of S, i.e. the window of a
-    # chosen point b reaches the chosen point cyclically before it.  Across
-    # the wrap, b's window reaches point a < b iff a < first[b].
-    first = [c - (n - 1 - j) for j, c in enumerate(counts)]
-    total = 0  # sum over subsets spanning no simplex of (-1)^{|S|}
-    for i in range(n):
-        reach = i + counts[i]  # a last chosen point j > reach is outside i's window
-        # h[j] = signed count of index-increasing chains i = j_0 < ... < j_last = j
-        # in which no window reaches the previous chain point; sign is
-        # (-1)^(chain length).
-        pref = [0] * (n + 1)  # pref[j+1] = h[i] + ... + h[j]
-        pref[i + 1] = acc = -1  # acc = pref[j]
-        for j in range(i + 1, n):
-            lo = first[j]
-            if lo < i:
-                lo = i
-            if lo < j:
-                hj = pref[lo] - acc
-                if hj:
-                    acc += hj
-                    if j > reach:
-                        total += hj
-            pref[j + 1] = acc
-    return 1 + total
+    # parent[k] = max(first_{k-1}, 0) with first_{k-1} = c_{k-1} + k - n
+    parent = [0] + [k + c - n if k + c > n else 0 for k, c in enumerate(counts, 1)]
+    chi = 1
+    for top, c in enumerate(counts, 1):  # top = i + 1
+        node = top + c
+        if node > n:
+            node = n
+        while node > top:
+            node = parent[node]
+        if node == top:
+            chi += 1
+    node = n
+    while node:
+        chi -= 1
+        node = parent[node]
+    return chi
 
 
 # ---------------------------------------------------------------------------

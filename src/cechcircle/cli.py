@@ -74,7 +74,10 @@ def _workers(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -90,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-curve", help="expected Euler characteristic on a t grid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--t-min", type=_finite_float, required=True)
+    p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output")
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spikes", help="spike analytics for m = 2..M")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output")
 
@@ -125,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--slack", type=float, default=0.1)
+    p.add_argument("--delta", type=_finite_float)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
+    p.add_argument("--margin", type=_finite_float, default=0.05)
+    p.add_argument("--slack", type=_finite_float, default=0.1)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for the trials of every theorem "
                    "(default: CECHCIRCLE_THREADS, else 1); results do not depend on it")

@@ -39,8 +39,12 @@ DEFAULT_CONFIDENCE = 0.99
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial; counter-based, order-free."""
-    key = np.array([master_seed & (2**64 - 1), trial], dtype=np.uint64)
+    """Independent stream for one trial; counter-based, order-free.
+
+    master_seed and trial are the two 64-bit words of the Philox key, so each
+    must lie in [0, 2^64); `_tally` checks the seed before any trial runs.
+    """
+    key = np.array([master_seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -60,6 +64,8 @@ def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) 
         raise DomainError("n must be >= 1")
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    if not 0 <= master_seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
     if workers == 1:
         return _tally_chunk(outcome, n, master_seed, args, range(trials))
     from concurrent.futures import ProcessPoolExecutor

@@ -25,7 +25,7 @@ from cechcircle import (
     uniform_config,
 )
 from cechcircle.circle import parse_decimal, window_counts
-from cechcircle.montecarlo import estimate_chi, trial_rng
+from cechcircle.montecarlo import _sorted_sample, estimate_chi, trial_rng
 
 from conftest import random_config, rational_grid_instance
 
@@ -227,6 +227,53 @@ def test_euler_matches_oracle():
         assert chi == cx.euler_characteristic()
         betti = betti_gf2(cx)
         assert chi == sum((-1) ** d * b for d, b in enumerate(betti))
+
+
+def _reference_euler(xs, t) -> int:
+    """O(n^2) chain-count DP over every lowest chosen index, in exact ints."""
+    counts = window_counts(xs, t)
+    n = len(xs)
+    if max(counts) == n - 1:
+        return 1  # one window holds every point: the full simplex
+    # S spans a simplex iff some window holds all of S, i.e. the window of a
+    # chosen point b reaches the chosen point cyclically before it.  Across
+    # the wrap, b's window reaches point a < b iff a < first[b].
+    first = [c - (n - 1 - j) for j, c in enumerate(counts)]
+    total = 0  # sum over subsets spanning no simplex of (-1)^{|S|}
+    for i in range(n):
+        reach = i + counts[i]  # a last chosen point j > reach is outside i's window
+        # h[j] = signed count of index-increasing chains i = j_0 < ... < j_last = j
+        # in which no window reaches the previous chain point; sign is
+        # (-1)^(chain length).
+        pref = [0] * (n + 1)  # pref[j+1] = h[i] + ... + h[j]
+        pref[i + 1] = acc = -1  # acc = pref[j]
+        for j in range(i + 1, n):
+            lo = first[j]
+            if lo < i:
+                lo = i
+            if lo < j:
+                hj = pref[lo] - acc
+                if hj:
+                    acc += hj
+                    if j > reach:
+                        total += hj
+            pref[j + 1] = acc
+    return 1 + total
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rational_grid_instance())
+def test_euler_matches_reference_dp_on_rational_grids(instance):
+    config, t = instance
+    assert euler_char_exact(config, t) == _reference_euler(config.positions, t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 400), st.integers(0, 2**64 - 1),
+       st.floats(0.01, 0.49, allow_nan=False, allow_infinity=False))
+def test_euler_matches_reference_dp_on_philox_samples(n, seed, t):
+    config = PointConfig(tuple(_sorted_sample(n, trial_rng(seed, 0))))
+    assert euler_char_exact(config, t) == _reference_euler(config.positions, t)
 
 
 @pytest.mark.parametrize("n,t", [(10, 0.1), (50, 0.2525), (100, 0.33)])

@@ -278,6 +278,9 @@ def test_verify_threads_equal_serial(capsys):
     ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "0"],
     ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "-4"],
     ["verify", "a1", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1", "--threads", "0"],
+    ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "18446744073709551616"],
+    ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "-1", "--threads", "2"],
+    ["verify", "a1", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "-1"],
 ])
 def test_monte_carlo_bad_input_usage_error(capsys, argv):
     try:
@@ -289,3 +292,33 @@ def test_monte_carlo_bad_input_usage_error(capsys, argv):
     assert "error:" in err
     if argv[0] == "verify" and argv[1] == "b":
         assert "n must be >= 1" in err
+    if "--seed" in argv and argv[argv.index("--seed") + 1] != "1":
+        assert "seed must be in [0, 2^64)" in err
+
+
+def test_largest_seed_is_accepted(capsys):
+    # the seed is one 64-bit Philox key word; seeds past either end are in
+    # test_monte_carlo_bad_input_usage_error
+    code, out, _ = run_cli(capsys, "census", "--n", "5", "--t", "0.2", "--trials", "3",
+                           "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["master_seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "a2", "--k", "2", "--n", "50", "--trials", "10", "--seed", "1", "--margin", "nan"],
+    ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--slack", "inf"],
+    ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--epsilon", "nan"],
+    ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--delta", "inf"],
+    ["spikes", "--n", "100", "--max-m", "3", "--epsilon", "nan"],
+    ["chi-curve", "--n", "10", "--t-min", "nan", "--t-max", "0.3", "--steps", "3"],
+    ["chi-curve", "--n", "10", "--t-min", "0.1", "--t-max", "inf", "--steps", "3"],
+    ["census", "--n", "5", "--t", "0.2x", "--trials", "3", "--seed", "1"],
+])
+def test_non_finite_or_garbled_float_option_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be a finite number" in captured.err

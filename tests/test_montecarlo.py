@@ -270,6 +270,21 @@ def test_verify_payloads_pinned(theorem, workers):
     assert verify(*args, workers=workers).details == details
 
 
+# verify a1 at the parameters of the chi_dp benchmark workload, where the gap
+# DP is the whole per-trial cost
+A1_N400_DETAILS = {
+    "n": 400, "t": 0.2525, "trials": 200, "master_seed": 5,
+    "empirical_mean": 14.565, "std_error": 0.16158410228284453,
+    "exact": 14.615387729298218, "abs_delta": 0.050387729298218886,
+    "tolerance": 0.4847523068485336,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_a1_n400_payload_pinned(workers):
+    assert verify_theorem_a1(400, 0.2525, 200, 5, workers=workers).details == A1_N400_DETAILS
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_census_counts_pinned(workers):
     census = run_census(30, 0.26, 400, 11, workers=workers)

@@ -36,6 +36,13 @@ from .homotopy import HomotopyType
 
 GENERATOR_ID = "numpy-philox4x64"
 DEFAULT_CONFIDENCE = 0.99
+# `_tally` starts a process pool only once the calling process has spent this
+# many seconds on the trials and at least as long again is left.  On a
+# 2-vCPU VM a pool of two costs about 13 ms and 4 000 page faults a call, and
+# ties the call's time to the load on the second core: a 100-trial census at
+# n = 100 (about 20 ms) ran no faster with it, and its time varied more.  The
+# absolute wait keeps one stalled early chunk from starting a pool.
+POOL_AFTER_S = 0.1
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -56,9 +63,13 @@ def _sorted_sample(n: int, rng) -> list[float]:
 def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) -> Counter:
     """Multiset of outcome(sorted sample of trial i, *args) over i < trials.
 
-    With more than one worker the trials are split into contiguous chunks of
-    ceil(trials / workers), run by at most min(chunks, CPUs) processes;
-    `outcome` and `args` must then be picklable; `workers` never changes the result.
+    With p = min(workers, trials, CPUs) > 1 the trials are cut into about 16
+    contiguous chunks per process, which the calling process runs in order.
+    Once it has run for POOL_AFTER_S with at least as long left at its pace
+    so far, at most p processes take the chunks left; `outcome` and `args`
+    must then be picklable.  Shorter calls never start a pool.  Either way
+    the error of the earliest failing chunk is raised, and `workers` never
+    changes the result.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -66,15 +77,25 @@ def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) 
         raise DomainError("workers must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
-    if workers == 1:
-        return _tally_chunk(outcome, n, master_seed, args, range(trials))
+    run = partial(_tally_chunk, outcome, n, master_seed, args)
+    processes = min(workers, trials, os.cpu_count() or 1)
+    if processes <= 1:
+        return run(range(trials))
+    size = -(-trials // (16 * processes))
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    counts: Counter = Counter()
+    start = time.perf_counter()
+    for done, chunk in enumerate(chunks):
+        elapsed = time.perf_counter() - start
+        if done and elapsed > POOL_AFTER_S and elapsed / done * (len(chunks) - done) > POOL_AFTER_S:
+            break
+        counts.update(run(chunk))
+    else:
+        return counts
     from concurrent.futures import ProcessPoolExecutor
 
-    step = -(-trials // workers)
-    chunks = [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        for chunk in pool.map(partial(_tally_chunk, outcome, n, master_seed, args), chunks):
+    with ProcessPoolExecutor(max_workers=min(processes, len(chunks) - done)) as pool:
+        for chunk in pool.map(run, chunks[done:]):
             counts.update(chunk)
     return counts
 

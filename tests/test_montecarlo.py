@@ -73,13 +73,11 @@ def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
     assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
 
 
-def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
-    import concurrent.futures
-    import os
+def _in_process_pool(started):
+    """A stand-in for ProcessPoolExecutor that records its size and runs the
+    chunks in this process."""
 
-    started = []
-
-    class RecordingPool:  # runs the chunks in this process
+    class InProcessPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -92,14 +90,77 @@ def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return InProcessPool
+
+
+def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from cechcircle import montecarlo
+
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
     serial = run_census(6, 0.2, 10, master_seed=4).counts
+    assert run_census(6, 0.2, 10, master_seed=4, workers=2).counts == serial
+    assert started == []  # far shorter than POOL_AFTER_S: no pool
+    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
     for cpus, workers in ((3, 2), (3, 64), (None, 64)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_census(6, 0.2, 10, master_seed=4, workers=workers).counts == serial
-    assert started == [2, 3, 1]
+    assert started == [2, 3]
     with pytest.raises(DomainError):
         run_census(6, 0.2, 10, master_seed=4, workers=0)
+
+
+def test_tally_starts_no_pool_for_one_stalled_chunk(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from cechcircle import montecarlo
+
+    now = [0.0]
+    chunk = montecarlo._tally_chunk
+
+    def first_chunk_stalls(*args):  # 0.09 s, then 0.1 ms a chunk
+        now[0] += 0.09 if now[0] == 0 else 1e-4
+        return chunk(*args)
+
+    started = []
+    monkeypatch.setattr(montecarlo.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(montecarlo, "_tally_chunk", first_chunk_stalls)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_census(6, 0.2, 60, master_seed=1, workers=2)
+    assert started == []  # the stall predicted 2.8 s more, but only 0.09 s had passed
+
+
+def test_tally_in_a_pool_matches_serial(monkeypatch):
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)  # a real pool after the first chunk
+    assert run_census(12, 0.2, 200, master_seed=9, workers=2).counts == \
+        run_census(12, 0.2, 200, master_seed=9).counts
+
+
+def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from cechcircle import InternalInconsistencyError, montecarlo
+
+    euler = montecarlo._euler_from_sorted
+    monkeypatch.setattr(montecarlo, "_euler_from_sorted",  # wrong first at trial 18, then at 10 more
+                        lambda xs, t: -1 if xs[0] > 0.35 else euler(xs, t))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(InternalInconsistencyError) as serial:
+        run_census(6, 0.2, 60, master_seed=1)
+    for after in (0.0, 10.0):  # the pool runs all chunks but the first, or none
+        monkeypatch.setattr(montecarlo, "POOL_AFTER_S", after)
+        with pytest.raises(InternalInconsistencyError) as pooled:
+            run_census(6, 0.2, 60, master_seed=1, workers=2)
+        assert str(pooled.value) == str(serial.value)
 
 
 def test_census_rejects_bad_trials():

@@ -4,11 +4,9 @@ homotopy classification, and seeded Monte Carlo verification."""
 from .circle import (
     PointConfig,
     build_complex,
-    covers_circle,
     euler_char_exact,
     is_simplex,
     load_point_file,
-    sample_uniform,
     uniform_config,
 )
 from .classify import classify

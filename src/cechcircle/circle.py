@@ -1,18 +1,20 @@
 """Circle geometry: point configurations, window counts, exact per-sample
-Euler characteristics, and coverage.
+Euler characteristics, the oracle complex and the point-file format.
 
 Positions live on the unit-circumference circle [0, 1), as floats or exact
 Fractions (equally spaced configurations and point files).  Every reach test
 ("the closed arc of length 2t from point a reaches point b") is made by
-`window_counts`, whose counts the classifier, the Euler DP and the complex
-builder all read, so each tie is decided once; its differences are exact on
-Fractions and on Philox samples (2^-53 grid).  The Euler DP needs nothing
-else: its chain counts reduce to ancestor tests on a tree read from the
-counts, O(n) steps on random samples.  Coverage and the test reference
-`is_simplex` compare cyclic gaps instead.
+`window_counts`, whose counts the classifier, the Euler DP, coverage (no
+empty window) and the complex builder all read, so each tie is decided once;
+its differences are exact on Fractions and on Philox samples (2^-53 grid).
+A Monte Carlo sample is counted once and every outcome reads that row.  The
+Euler DP needs nothing else: its chain counts reduce to ancestor tests on a
+tree read from the counts, O(n) steps on random samples.  Only the test
+reference `is_simplex` compares cyclic gaps instead.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,28 +46,12 @@ class PointConfig:
     def n(self) -> int:
         return len(self.positions)
 
-    def gaps(self) -> tuple:
-        """Cyclic gaps between consecutive points; they sum to 1."""
-        xs = self.positions
-        if len(xs) == 1:
-            return (1,)
-        out = [b - a for a, b in zip(xs, xs[1:])]
-        out.append(1 - xs[-1] + xs[0])
-        return tuple(out)
-
 
 def uniform_config(n: int) -> PointConfig:
     """n equally spaced points i/n, held as exact rationals."""
     if n < 1:
         raise DomainError("n must be >= 1")
     return PointConfig(tuple(Fraction(i, n) for i in range(n)))
-
-
-def sample_uniform(n: int, rng) -> PointConfig:
-    """n i.i.d. uniform points from the supplied numpy Generator."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return PointConfig.from_points(float(x) for x in rng.random(n))
 
 
 def is_simplex(config: PointConfig, subset, t) -> bool:
@@ -84,13 +70,6 @@ def is_simplex(config: PointConfig, subset, t) -> bool:
     mg = max(b - a for a, b in zip(pts, pts[1:]))
     mg = max(mg, 1 - pts[-1] + pts[0])
     return mg >= 1 - 2 * t
-
-
-def covers_circle(config: PointConfig, radius) -> bool:
-    """True iff closed arcs of the given radius cover the circle (ties covered)."""
-    if radius <= 0:
-        raise DomainError("radius must be > 0")
-    return max(config.gaps()) <= 2 * radius
 
 
 def window_counts(xs, t) -> list[int]:
@@ -118,14 +97,19 @@ def euler_char_exact(config: PointConfig, t) -> int:
     chi = sum_s (-1)^(s-1) N_s with N_s = C(n,s) - M_s, where M_s counts
     s-subsets that span no simplex: no window holds them all.  The DP's
     chain counts telescope into ancestor tests on a tree over 0..n (see
-    `_euler_from_sorted`), so the exact integer answer takes O(n) steps on
+    `_euler_from_counts`), so the exact integer answer takes O(n) steps on
     random samples and never more than O(n^2).
     """
     return _euler_from_sorted(config.positions, t)
 
 
 def _euler_from_sorted(xs, t) -> int:
-    """Euler characteristic of Cech(xs, t) for sorted positions xs.
+    """Euler characteristic of Cech(xs, t) for sorted positions xs."""
+    return _euler_from_counts(window_counts(xs, t))
+
+
+def _euler_from_counts(counts: list[int]) -> int:
+    """Euler characteristic of a Cech complex from its `window_counts` c.
 
     A set S spans no simplex iff no window of a chosen point reaches the
     chosen point cyclically before it.  Fix the lowest chosen index i and
@@ -147,8 +131,7 @@ def _euler_from_sorted(xs, t) -> int:
     2t/(1-2t) steps on random samples, where a step jumps back by about
     n(1-2t) points.
     """
-    counts = window_counts(xs, t)
-    n = len(xs)
+    n = len(counts)
     if max(counts) == n - 1:
         return 1  # one window holds every point: the full simplex
     # parent[k] = max(first_{k-1}, 0) with first_{k-1} = c_{k-1} + k - n
@@ -227,19 +210,24 @@ def parse_decimal(text: str) -> Fraction:
 
 def load_point_file(path) -> PointConfig:
     """Points of a point file, held as exact rationals."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PointFileError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     points = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                value = parse_decimal(line)
-            except ValueError:
-                raise PointFileError(line_no, f"not a decimal: {line!r}") from None
-            if not 0 <= value < 1:
-                raise PointFileError(line_no, f"value {value} outside [0, 1)")
-            points.append(value)
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            value = parse_decimal(line)
+        except ValueError:
+            raise PointFileError(line_no, f"not a decimal: {line!r}") from None
+        if not 0 <= value < 1:
+            raise PointFileError(line_no, f"value {value} outside [0, 1)")
+        points.append(value)
     if not points:
         raise PointFileError(0, "no points in file")
     return PointConfig.from_points(points)

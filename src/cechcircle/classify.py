@@ -9,8 +9,11 @@ wedge of points, one an arc (contractible).  A window holding every point
 makes the whole set one simplex.  Otherwise the arcs cover the circle and the
 type is decided by the winding fraction of the orbit map f(i) = i + c_i
 (mod n) (Adamaszek, Adams, Frick, Peterson and Previte-Johnson, "Nerve
-complexes of circular arcs", DCG 2016).  Every answer is validated against
-the realizability constraint set; a violation is an internal error.
+complexes of circular arcs", DCG 2016).  `type_from_counts` decides from a
+count row alone, so a Monte Carlo sample is counted once for its type and
+its Euler cross-check.  `classify` counts one configuration and validates
+the answer against the realizability constraint set; a violation is an
+internal error.  A census checks each distinct type against that set once.
 """
 from __future__ import annotations
 
@@ -26,18 +29,19 @@ def classify(config: PointConfig, t) -> HomotopyType:
         raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    counts = window_counts(config.positions, t)
-    n = config.n
+    return _validated(type_from_counts(window_counts(config.positions, t)), config.n, t)
+
+
+def type_from_counts(counts: list[int]) -> HomotopyType:
+    """Homotopy type of a Cech complex from its `window_counts`, unvalidated."""
     breaks = counts.count(0)
     if breaks > 1:
-        result = HomotopyType.wedge_even(breaks - 1, 0)
-    elif breaks == 1 or max(counts) == n - 1:
+        return HomotopyType.wedge_even(breaks - 1, 0)
+    if breaks == 1 or max(counts) == len(counts) - 1:
         # one gap > 2t leaves a single arc, and a window holding every point
         # makes the whole set one simplex: both contractible
-        result = HomotopyType.point()
-    else:
-        result = _winding_type(counts)
-    return _validated(result, n, t)
+        return HomotopyType.point()
+    return _winding_type(counts)
 
 
 def _winding_type(counts: list[int]) -> HomotopyType:

@@ -47,14 +47,15 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _table(rows: list[dict], fmt: str) -> str:
+def _table(columns: list[str], rows: list[dict], fmt: str) -> str:
+    """Rows as CSV with a header line, or as a JSON list; either may be empty."""
     if fmt == "json":
         return json.dumps(
             [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows],
             indent=2,
         ) + "\n"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt(v) for k, v in row.items()})
@@ -150,15 +151,21 @@ def cmd_chi_curve(args) -> int:
         width = (args.t_max - args.t_min) / (args.steps - 1)
         grid = [args.t_min + i * width for i in range(args.steps)]
         grid[-1] = args.t_max  # endpoint-inclusive
+    columns = ["n", "t", "chi", "chi_normalized"]
     rows = [
-        {"n": args.n, "t": t, "chi": chi, "chi_normalized": norm}
+        dict(zip(columns, (args.n, t, chi, norm)))
         for t, chi, norm in expected_euler_curve(args.n, grid)
     ]
-    _emit(_table(rows, args.format), args.output)
+    _emit(_table(columns, rows, args.format), args.output)
     return EXIT_OK
 
 
 def cmd_spikes(args) -> int:
+    if args.n < 1:
+        raise CechCircleError("--n must be >= 1")
+    if args.max_m < 2:
+        raise CechCircleError("--max-m must be >= 2")
+    columns = ["m", "center_t", "a_mn", "b_mn", "omega_m", "alpha_lo", "alpha_hi"]
     rows = []
     for m in range(2, args.max_m + 1):
         try:
@@ -166,20 +173,11 @@ def cmd_spikes(args) -> int:
         except CechCircleError as exc:
             print(f"warning: skipping m={m}: {exc}", file=sys.stderr)
             continue
-        rows.append({
-            "m": m,
-            "center_t": spike.center_t,
-            "a_mn": spike.a_mn,
-            "b_mn": spike.b_mn,
-            "omega_m": spike.omega_m,
-            "alpha_lo": spike.window_rho[0],
-            "alpha_hi": spike.window_rho[1],
-        })
+        rows.append(dict(zip(columns, (
+            m, spike.center_t, spike.a_mn, spike.b_mn, spike.omega_m, *spike.window_rho))))
     if not rows:
         print("warning: no spike rows satisfy the preconditions", file=sys.stderr)
-        _emit("m,center_t,a_mn,b_mn,omega_m,alpha_lo,alpha_hi\r\n", args.output)
-        return EXIT_OK
-    _emit(_table(rows, args.format), args.output)
+    _emit(_table(columns, rows, args.format), args.output)
     return EXIT_OK
 
 

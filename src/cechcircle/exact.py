@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DomainError
@@ -300,19 +299,10 @@ class AllowedTypes:
             return True
         return b + 1 == self.k and (a + 1) * self.k <= self.n
 
-    def max_wedge(self, b: int) -> int:
-        """Largest allowed a+1 for wedge^a(S^2b); 0 when none is allowed."""
-        if b + 1 <= self.k - 1:
-            return self.k // (self.k - b - 1)
-        if b + 1 == self.k:
-            return self.n // self.k
-        return 0
 
 
-@lru_cache(maxsize=128)
 def allowed_types(n: int, t) -> AllowedTypes:
-    """The constraint set at (n, t); cached, as classify checks every result
-    against it and one census asks for the same set on every sample."""
+    """The constraint set at (n, t)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     tq = Fraction(t)

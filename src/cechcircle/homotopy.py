@@ -78,12 +78,6 @@ class HomotopyType:
             return {"kind": "odd", "l": self.l}
         return {"kind": "even", "a": self.a, "l": self.l}
 
-    @staticmethod
-    def from_json(obj: dict) -> "HomotopyType":
-        if obj["kind"] == "odd":
-            return HomotopyType.odd_sphere(obj["l"])
-        return HomotopyType.wedge_even(obj["a"], obj["l"])
-
     def display(self) -> str:
         if self.kind == ODD:
             return f"S^{2 * self.l + 1}"

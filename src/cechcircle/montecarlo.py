@@ -4,7 +4,10 @@ verification harness.
 Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
 draws n uniform points from an independent Philox stream keyed by
 (master_seed, i), sorts them and evaluates one per-sample outcome, and the
-engine returns the multiset of outcomes.  Results are therefore
+engine returns the multiset of outcomes.  Every outcome reads the sample's
+`window_counts` row, computed once: the census passes it to both the
+classifier and the Euler DP, and coverage is "no empty window".  A repeated
+position is one more vertex; nothing dedups it.  Results are therefore
 bit-identical regardless of execution order or worker count.  Proportions
 get Wilson intervals, means get normal intervals; 99% confidence by default.
 """
@@ -21,8 +24,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .circle import PointConfig, covers_circle, _euler_from_sorted
-from .classify import classify
+from .circle import _euler_from_counts, _euler_from_sorted, window_counts
+from .classify import type_from_counts
 from .errors import DomainError, InternalInconsistencyError
 from .exact import (
     allowed_types,
@@ -188,12 +191,12 @@ class Census:
 
 def _classified(xs: list[float], t: float, cross_check: bool) -> HomotopyType:
     """Homotopy type of one sorted sample; with `cross_check`, its Euler
-    characteristic must equal the gap DP's."""
-    config = PointConfig.from_points(xs)
-    ht = classify(config, t)
-    if cross_check and ht.euler_characteristic() != _euler_from_sorted(config.positions, t):
+    characteristic must equal the gap DP's on the same window counts."""
+    counts = window_counts(xs, t)
+    ht = type_from_counts(counts)
+    if cross_check and ht.euler_characteristic() != _euler_from_counts(counts):
         raise InternalInconsistencyError(
-            f"Euler cross-check failed for {ht.display()} at t={t}, positions {config.positions}"
+            f"Euler cross-check failed for {ht.display()} at t={t}, positions {tuple(xs)}"
         )
     return ht
 
@@ -270,12 +273,16 @@ def estimate_betti(
 
 
 def _covers(xs: list[float], radius: float) -> bool:
-    return covers_circle(PointConfig.from_points(xs), radius)
+    """Closed arcs of the radius cover the circle iff no window is empty; an
+    arc of length >= 1 covers it alone, though a lone point's window is."""
+    return 2 * radius >= 1 or 0 not in window_counts(xs, radius)
 
 
 def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
     if trials < 2:
         raise DomainError("trials must be >= 2")
+    if radius <= 0:
+        raise DomainError("radius must be > 0")
     counts = _tally(_covers, n, trials, master_seed, 1, radius)
     return wilson_estimate(counts[True], trials)
 

@@ -1,7 +1,6 @@
 """Circle geometry, the simplex predicate, window counts, the
 Euler-characteristic DP, coverage, the homology oracle, and the point-file
 format."""
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,16 +15,14 @@ from cechcircle import (
     SizeError,
     betti_gf2,
     build_complex,
-    covers_circle,
     euler_char_exact,
     expected_euler_char,
     is_simplex,
     load_point_file,
-    sample_uniform,
     uniform_config,
 )
 from cechcircle.circle import parse_decimal, window_counts
-from cechcircle.montecarlo import _sorted_sample, estimate_chi, trial_rng
+from cechcircle.montecarlo import _covers, _sorted_sample, estimate_chi, estimate_coverage, trial_rng
 
 from conftest import random_config, rational_grid_instance
 
@@ -44,35 +41,12 @@ def test_config_sorted_deduplicated():
         PointConfig.from_points([])
 
 
-def test_gaps_sum_to_one():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        config = random_config(rng, int(rng.integers(1, 30)))
-        assert abs(math.fsum(config.gaps()) - 1) < 1e-12
-
-
 def test_uniform_config():
     assert uniform_config(4).positions == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     assert uniform_config(1).positions == (0,)
-    assert set(uniform_config(5).gaps()) == {Fraction(1, 5)}
+    assert window_counts(uniform_config(5).positions, Fraction(1, 10)) == [1] * 5  # gaps 1/5
     with pytest.raises(DomainError):
         uniform_config(0)
-
-
-def test_sample_uniform_basics():
-    config = sample_uniform(1, np.random.default_rng(3))
-    assert config.n == 1 and config.gaps() == (1,)
-    a = sample_uniform(3, np.random.default_rng(42))
-    b = sample_uniform(3, np.random.default_rng(42))
-    assert a == b
-    with pytest.raises(DomainError):
-        sample_uniform(0, np.random.default_rng(1))
-
-
-def test_sample_uniform_mean():
-    config = sample_uniform(10**4, np.random.default_rng(5))
-    mean = math.fsum(config.positions) / config.n
-    assert 0.49 <= mean <= 0.51
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +83,21 @@ def test_is_simplex_monotone():
 
 
 def test_covers_circle_examples():
-    assert covers_circle(uniform_config(4), 0.125)  # gaps 0.25 = 2 * 0.125
-    assert not covers_circle(PointConfig.from_points([0, 0.5]), 0.2)
+    assert _covers(uniform_config(4).positions, 0.125)  # gaps 0.25 = 2 * 0.125
+    assert not _covers([0, 0.5], 0.2)
     with pytest.raises(DomainError):
-        covers_circle(uniform_config(4), 0)
+        estimate_coverage(4, 0, 10, 1)
 
 
 def test_coverage_duality():
-    # covers_circle(config, 1/2 - t) is false iff the full vertex set is a
+    # _covers(positions, 1/2 - t) is false iff the full vertex set is a
     # simplex at radius t (ties are measure-zero for random configs)
     rng = np.random.default_rng(22)
     for _ in range(10**5):
         n = int(rng.integers(1, 11))
         config = random_config(rng, n)
         t = float(rng.uniform(0.05, 0.45))
-        covered = covers_circle(config, 0.5 - t)
+        covered = _covers(config.positions, 0.5 - t)
         simplex = is_simplex(config, range(config.n), t)
         assert covered == (not simplex)
 

@@ -44,9 +44,6 @@ def test_homotopy_type_derived_invariants():
 
 
 def test_homotopy_type_json_round_trip():
-    for ht in [HomotopyType.odd_sphere(2), HomotopyType.wedge_even(4, 1),
-               HomotopyType.point()]:
-        assert HomotopyType.from_json(ht.to_json()) == ht
     assert HomotopyType.odd_sphere(1).to_json() == {"kind": "odd", "l": 1}
     assert HomotopyType.wedge_even(1, 1).to_json() == {"kind": "even", "a": 1, "l": 1}
 

@@ -91,6 +91,25 @@ def test_spikes_empty_with_warning(capsys):
     assert "warning" in err
 
 
+def test_spikes_empty_json_is_an_empty_list(capsys):
+    code, out, err = run_cli(capsys, "spikes", "--n", "8", "--max-m", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+    assert "warning" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spikes", "--n", "-3", "--max-m", "3"],
+    ["spikes", "--n", "0", "--max-m", "3"],
+    ["spikes", "--n", "100", "--max-m", "1"],
+])
+def test_spikes_bad_range_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------
@@ -139,7 +158,7 @@ def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
 def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
     from cechcircle import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_euler_from_sorted", lambda xs, t: -1)
+    monkeypatch.setattr(montecarlo, "_euler_from_counts", lambda counts: -1)
     code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
                              "--trials", "3", "--seed", "1", "--threads", "1")
     assert code == 1
@@ -213,6 +232,15 @@ def test_classify_malformed_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", "--input", str(path), "--t", "0.2")
     assert code == 2
     assert "line 2" in err
+
+
+def test_classify_non_utf8_file_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0.1\n# caf\xe9\n0.5\n")
+    code, out, err = run_cli(capsys, "classify", "--input", str(path), "--t", "0.2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: not UTF-8")
 
 
 def test_classify_missing_file_is_runtime_error(capsys, tmp_path):

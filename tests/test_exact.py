@@ -321,8 +321,6 @@ def test_n_k_homotopy_edge_rows():
 def test_allowed_types_k2():
     allowed = allowed_types(12, 0.26)  # rho = 0.48, k = 2
     assert allowed.k == 2
-    assert allowed.max_wedge(1) == 6
-    assert allowed.max_wedge(0) == 2
     assert allowed.allows(HomotopyType.wedge_even(5, 1))
     assert not allowed.allows(HomotopyType.wedge_even(6, 1))
     assert allowed.allows(HomotopyType.wedge_even(1, 0))
@@ -337,7 +335,6 @@ def test_allowed_types_k1_disjoint_points():
     for a in range(9):
         assert allowed.allows(HomotopyType.wedge_even(a, 0))
     assert not allowed.allows(HomotopyType.wedge_even(9, 0))
-    assert allowed.max_wedge(1) == 0
 
 
 def test_allowed_types_accepts_known_realization():

@@ -1,7 +1,9 @@
 """Seeded censuses, estimators with confidence intervals, and the
 statistical verification harness."""
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cechcircle import (
@@ -67,7 +69,7 @@ def test_census_constraint_keys_k2():
 def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    monkeypatch.setattr(montecarlo, "_euler_from_sorted", lambda xs, rho: -1)
+    monkeypatch.setattr(montecarlo, "_euler_from_counts", lambda counts: -1)
     with pytest.raises(InternalInconsistencyError, match=r"t=0\.2, positions \(0\."):
         run_census(6, 0.2, 5, master_seed=1)
     assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
@@ -149,9 +151,9 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
 
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    euler = montecarlo._euler_from_sorted
-    monkeypatch.setattr(montecarlo, "_euler_from_sorted",  # wrong first at trial 18, then at 10 more
-                        lambda xs, t: -1 if xs[0] > 0.35 else euler(xs, t))
+    euler = montecarlo._euler_from_counts
+    monkeypatch.setattr(montecarlo, "_euler_from_counts",  # wrong first at trial 18, then at 6 more
+                        lambda counts: -1 if sum(counts) > 14 else euler(counts))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with pytest.raises(InternalInconsistencyError) as serial:
@@ -161,6 +163,37 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
         with pytest.raises(InternalInconsistencyError) as pooled:
             run_census(6, 0.2, 60, master_seed=1, workers=2)
         assert str(pooled.value) == str(serial.value)
+
+
+def test_census_counts_each_sample_once(monkeypatch):
+    from cechcircle import montecarlo
+
+    calls = []
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: calls.append(t) or count(xs, t))
+    run_census(12, 0.2525, 40, master_seed=3)
+    assert len(calls) == 40  # one row per sample feeds the type and the cross-check
+
+
+def test_duplicate_position_is_one_more_vertex():
+    # the multiset's complex has the type, chi and coverage of the set
+    from cechcircle import PointConfig, betti_gf2, build_complex, classify
+    from cechcircle.circle import _euler_from_sorted
+    from cechcircle.montecarlo import _classified, _covers
+
+    rng = np.random.default_rng(61)
+    for _ in range(400):
+        d = int(rng.integers(1, 13))
+        idx = sorted(rng.choice(d, size=int(rng.integers(1, min(d, 9) + 1)), replace=False))
+        xs = sorted([Fraction(int(i), d) for i in idx] + [Fraction(int(rng.choice(idx)), d)])
+        t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
+        unique = PointConfig.from_points(xs)
+        ht = _classified(xs, t, True)
+        assert ht == classify(unique, t)
+        assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
+        assert _euler_from_sorted(xs, t) == _euler_from_sorted(unique.positions, t)
+        for radius in (t, Fraction(1, 2) - t, Fraction(1, 2)):
+            assert _covers(xs, radius) == _covers(unique.positions, radius)
 
 
 def test_census_rejects_bad_trials():

@@ -7,9 +7,12 @@ Fractions (equally spaced configurations and point files).  Every reach test
 `window_counts`, whose counts the classifier, the Euler DP, coverage (no
 empty window) and the complex builder all read, so each tie is decided once;
 its differences are exact on Fractions and on Philox samples (2^-53 grid).
-A Monte Carlo sample is counted once and every outcome reads that row.  The
-Euler DP needs nothing else: its chain counts reduce to ancestor tests on a
-tree read from the counts, O(n) steps on random samples.  Only the test
+It counts one row or a whole block of rows in numpy: one searchsorted
+guesses every window end and an exact fix-up settles each tie, on float
+arrays and on object arrays of Fractions alike.  A Monte Carlo sample is
+counted once, in its block, and every outcome reads that row.  The Euler DP
+needs nothing else: its chain counts reduce to ancestor tests on a tree
+read from the counts, O(n) steps on random samples.  Only the test
 reference `is_simplex` compares cyclic gaps instead.
 """
 from __future__ import annotations
@@ -18,6 +21,8 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, PointFileError, SizeError
 
@@ -72,23 +77,40 @@ def is_simplex(config: PointConfig, subset, t) -> bool:
     return mg >= 1 - 2 * t
 
 
-def window_counts(xs, t) -> list[int]:
+def window_counts(xs, t) -> list:
     """For each of the sorted positions xs, how many further points lie in
     the closed forward arc of length 2t starting there (capped at n-1).
-    Two-pointer, O(n); it compares only x_b - x_a and 1 - (x_a - x_b) with 2t.
+
+    xs is one sorted row of positions, or a (rows, n) array of sorted rows;
+    the counts come back as nested lists of the same shape.  Fractions go
+    through object arrays, so their arithmetic stays exact.  With ext the
+    row's positions shifted by -1 followed by the row itself, c_i is the
+    number of e in (i, i+n) with ext[e] - ext[i] <= 2t: x_b - x_a, or
+    1 - (x_a - x_b) across the wrap, compared with 2t.  One searchsorted
+    over all rows, row r shifted by 4r so that rows never interleave,
+    guesses each window end; each end then moves by one until that exact
+    test holds for it and fails for the next, so the rounding of the
+    shifted values never decides a tie.
     """
-    n = len(xs)
+    xs = np.asarray(xs)
+    rows = xs.reshape(-1, xs.shape[-1])
+    n = rows.shape[1]
     width = 2 * t
-    ext = [x - 1 for x in xs] + list(xs)
-    counts = [0] * n
-    e = 0
-    for i in range(n):
-        if e < i + 1:
-            e = i + 1
-        while e < i + n and ext[e] - ext[i] <= width:
-            e += 1
-        counts[i] = e - i - 1
-    return counts
+    ext = np.concatenate([rows - 1, rows], axis=1)
+    start = ext[:, :n]
+    row = np.arange(len(rows))[:, None]
+    shifted = (ext + 4 * row).ravel()
+    ext = ext.ravel()
+    first = 2 * n * row + np.arange(n)  # flat index of ext[i]
+    end = first + (n - 1)  # flat index of ext[i + n - 1], the farthest window end
+    last = np.searchsorted(shifted, shifted[first] + width, side="right") - 1
+    last = np.minimum(np.maximum(last, first), end)  # flat index of ext[i + c_i]
+    while True:
+        grow = (last < end) & (ext[last + 1] - start <= width)
+        shrink = (last > first) & ~(ext[last] - start <= width)
+        if not (grow.any() or shrink.any()):
+            return (last - first).reshape(xs.shape).tolist()
+        last += grow.astype(last.dtype) - shrink
 
 
 def euler_char_exact(config: PointConfig, t) -> int:
@@ -100,12 +122,7 @@ def euler_char_exact(config: PointConfig, t) -> int:
     `_euler_from_counts`), so the exact integer answer takes O(n) steps on
     random samples and never more than O(n^2).
     """
-    return _euler_from_sorted(config.positions, t)
-
-
-def _euler_from_sorted(xs, t) -> int:
-    """Euler characteristic of Cech(xs, t) for sorted positions xs."""
-    return _euler_from_counts(window_counts(xs, t))
+    return _euler_from_counts(window_counts(config.positions, t))
 
 
 def _euler_from_counts(counts: list[int]) -> int:

@@ -9,8 +9,8 @@ success/PASS, 1 runtime failure, internal error or FAIL, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -19,7 +19,7 @@ import sys
 from .circle import load_point_file, parse_decimal
 from .classify import classify
 from .errors import CechCircleError, InternalInconsistencyError
-from .exact import expected_euler_curve, spike_analysis
+from .exact import expected_euler_char, spike_analysis
 from .montecarlo import (
     run_census,
     verify_theorem_a1,
@@ -47,19 +47,22 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _table(columns: list[str], rows: list[dict], fmt: str) -> str:
-    """Rows as CSV with a header line, or as a JSON list; either may be empty."""
-    if fmt == "json":
-        return json.dumps(
-            [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows],
-            indent=2,
-        ) + "\n"
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
-    return buf.getvalue()
+def _write_table(columns: list[str], rows, fmt: str, output: str | None):
+    """Rows as CSV with a header line, or as a JSON list; either may be
+    empty.  Each row is written as soon as the iterable yields it."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as out:
+        if fmt == "json":
+            opening = "["
+            for row in rows:
+                item = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}
+                out.write(opening + "\n  " + json.dumps(item, indent=2).replace("\n", "\n  "))
+                opening = ","
+            out.write("[]\n" if opening == "[" else "\n]\n")
+            return
+        writer = csv.DictWriter(out, fieldnames=columns)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
 def _workers(args) -> int:
@@ -141,22 +144,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_chi_curve(args) -> int:
+    """Stream the rows of the endpoint-inclusive grid t_min + i * width, so
+    that any --steps prints its first rows at once; every check comes first."""
+    if args.n < 1:
+        raise CechCircleError("--n must be >= 1")
     if args.steps < 1:
         raise CechCircleError("--steps must be >= 1")
-    if args.steps == 1:
-        grid = [args.t_min]
-        if args.t_min != args.t_max:
-            raise CechCircleError("--steps 1 requires t-min == t-max")
-    else:
-        width = (args.t_max - args.t_min) / (args.steps - 1)
-        grid = [args.t_min + i * width for i in range(args.steps)]
-        grid[-1] = args.t_max  # endpoint-inclusive
+    if not (0 < args.t_min and args.t_max < 0.5):
+        raise CechCircleError("grid values must lie in (0, 1/2)")
+    last = args.steps - 1
+    if last == 0 and args.t_min != args.t_max:
+        raise CechCircleError("--steps 1 requires t-min == t-max")
+    width = (args.t_max - args.t_min) / max(last, 1)
+    if last and not width > 2**-51:  # then rounding keeps the grid strictly increasing
+        raise CechCircleError("t grid must be strictly increasing, with a spacing above 2^-51")
     columns = ["n", "t", "chi", "chi_normalized"]
-    rows = [
-        dict(zip(columns, (args.n, t, chi, norm)))
-        for t, chi, norm in expected_euler_curve(args.n, grid)
-    ]
-    _emit(_table(columns, rows, args.format), args.output)
+
+    def rows():
+        for i in range(args.steps):
+            t = args.t_min + i * width if i < last else args.t_max
+            chi = expected_euler_char(args.n, t)
+            yield {"n": args.n, "t": t, "chi": chi, "chi_normalized": chi / args.n}
+
+    _write_table(columns, rows(), args.format, args.output)
     return EXIT_OK
 
 
@@ -165,6 +175,8 @@ def cmd_spikes(args) -> int:
         raise CechCircleError("--n must be >= 1")
     if args.max_m < 2:
         raise CechCircleError("--max-m must be >= 2")
+    if not 0 < args.epsilon < 1:
+        raise CechCircleError("--epsilon must be in (0, 1)")
     columns = ["m", "center_t", "a_mn", "b_mn", "omega_m", "alpha_lo", "alpha_hi"]
     rows = []
     for m in range(2, args.max_m + 1):
@@ -177,7 +189,7 @@ def cmd_spikes(args) -> int:
             m, spike.center_t, spike.a_mn, spike.b_mn, spike.omega_m, *spike.window_rho))))
     if not rows:
         print("warning: no spike rows satisfy the preconditions", file=sys.stderr)
-    _emit(_table(columns, rows, args.format), args.output)
+    _write_table(columns, rows, args.format, args.output)
     return EXIT_OK
 
 

@@ -3,13 +3,18 @@ verification harness.
 
 Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
 draws n uniform points from an independent Philox stream keyed by
-(master_seed, i), sorts them and evaluates one per-sample outcome, and the
-engine returns the multiset of outcomes.  Every outcome reads the sample's
-`window_counts` row, computed once: the census passes it to both the
-classifier and the Euler DP, and coverage is "no empty window".  A repeated
-position is one more vertex; nothing dedups it.  Results are therefore
-bit-identical regardless of execution order or worker count.  Proportions
-get Wilson intervals, means get normal intervals; 99% confidence by default.
+(master_seed, i), sorts them and evaluates one per-sample outcome on the
+sample's `window_counts` row, and the engine returns the multiset of
+outcomes.  The census passes that row to both the classifier and the Euler
+DP, the chi estimator to the DP, and coverage is "no empty window".  The
+engine works a chunk of trials at a time: one Philox generator per chunk is
+reset to each trial's key, the rows are drawn into a block of about
+BLOCK_POSITIONS positions, sorted together and counted by one batched,
+exact `window_counts` call, so memory does not grow with the number of
+trials.  A repeated position is one more vertex; nothing dedups it.
+Results are therefore bit-identical regardless of execution order, block
+size or worker count.  Proportions get Wilson intervals, means get normal
+intervals; 99% confidence by default.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .circle import _euler_from_counts, _euler_from_sorted, window_counts
+from .circle import _euler_from_counts, window_counts
 from .classify import type_from_counts
 from .errors import DomainError, InternalInconsistencyError
 from .exact import (
@@ -46,6 +51,8 @@ DEFAULT_CONFIDENCE = 0.99
 # n = 100 (about 20 ms) ran no faster with it, and its time varied more.  The
 # absolute wait keeps one stalled early chunk from starting a pool.
 POOL_AFTER_S = 0.1
+# A block of trials holds about this many positions (rows = max(1, BLOCK_POSITIONS // n)).
+BLOCK_POSITIONS = 4096
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -58,21 +65,19 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sorted_sample(n: int, rng) -> list[float]:
-    xs = np.sort(rng.random(n))
-    return [float(x) for x in xs]
+def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *args) -> Counter:
+    """Multiset of outcome(window counts of trial i's sample at t, *args)
+    over i < trials.
 
-
-def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) -> Counter:
-    """Multiset of outcome(sorted sample of trial i, *args) over i < trials.
-
-    With p = min(workers, trials, CPUs) > 1 the trials are cut into about 16
-    contiguous chunks per process, which the calling process runs in order.
-    Once it has run for POOL_AFTER_S with at least as long left at its pace
-    so far, at most p processes take the chunks left; `outcome` and `args`
-    must then be picklable.  Shorter calls never start a pool.  Either way
-    the error of the earliest failing chunk is raised, and `workers` never
-    changes the result.
+    An `InternalInconsistencyError` raised by an outcome is raised again
+    naming t and the sample's positions.  With p = min(workers, trials,
+    CPUs) > 1 the trials are cut into about 16 contiguous chunks per
+    process, which the calling process runs in order.  Once it has run for
+    POOL_AFTER_S with at least as long left at its pace so far, at most p
+    processes take the chunks left; `outcome` and `args` must then be
+    picklable.  Shorter calls never start a pool.  Either way the error of
+    the earliest failing chunk is raised, and `workers` never changes the
+    result.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -80,7 +85,7 @@ def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) 
         raise DomainError("workers must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
-    run = partial(_tally_chunk, outcome, n, master_seed, args)
+    run = partial(_tally_chunk, outcome, n, t, master_seed, args)
     processes = min(workers, trials, os.cpu_count() or 1)
     if processes <= 1:
         return run(range(trials))
@@ -103,8 +108,35 @@ def _tally(outcome, n: int, trials: int, master_seed: int, workers: int, *args) 
     return counts
 
 
-def _tally_chunk(outcome, n: int, master_seed: int, args: tuple, trials: range) -> Counter:
-    return Counter(outcome(_sorted_sample(n, trial_rng(master_seed, i)), *args) for i in trials)
+def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: range) -> Counter:
+    """`_tally` over one contiguous range of trials, a block of rows at a time.
+
+    One Philox generator serves the whole chunk: before trial i it is reset
+    to the state of `trial_rng(master_seed, i)` (key [master_seed, i],
+    counter 0, empty buffer), so row i holds exactly that stream's first n
+    draws.  A block holds about BLOCK_POSITIONS positions, so memory does
+    not grow with the number of trials.
+    """
+    bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    rows = max(1, BLOCK_POSITIONS // n)
+    tally: Counter = Counter()
+    for lo in range(trials.start, trials.stop, rows):
+        block = np.empty((min(rows, trials.stop - lo), n))
+        for i, row in enumerate(block, lo):
+            key[1] = i
+            bit_generator.state = fresh
+            generator.random(out=row)
+        block.sort(axis=1)
+        try:
+            for j, counts in enumerate(window_counts(block, t)):
+                tally[outcome(counts, *args)] += 1
+        except InternalInconsistencyError as exc:
+            positions = tuple(block[j].tolist())
+            raise InternalInconsistencyError(f"{exc} at t={t}, positions {positions}") from None
+    return tally
 
 
 def _z(confidence: float) -> float:
@@ -189,15 +221,13 @@ class Census:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def _classified(xs: list[float], t: float, cross_check: bool) -> HomotopyType:
-    """Homotopy type of one sorted sample; with `cross_check`, its Euler
-    characteristic must equal the gap DP's on the same window counts."""
-    counts = window_counts(xs, t)
+def _classified(counts: list[int], cross_check: bool) -> HomotopyType:
+    """Homotopy type of one sample from its window counts; with
+    `cross_check`, its Euler characteristic must equal the gap DP's on the
+    same counts."""
     ht = type_from_counts(counts)
     if cross_check and ht.euler_characteristic() != _euler_from_counts(counts):
-        raise InternalInconsistencyError(
-            f"Euler cross-check failed for {ht.display()} at t={t}, positions {tuple(xs)}"
-        )
+        raise InternalInconsistencyError(f"Euler cross-check failed for {ht.display()}")
     return ht
 
 
@@ -221,7 +251,7 @@ def run_census(
         raise DomainError("trials must be >= 1")
     started = time.perf_counter()
     allowed = allowed_types(n, t)
-    counts = _tally(_classified, n, trials, master_seed, workers, t, cross_check)
+    counts = _tally(_classified, n, t, trials, master_seed, workers, cross_check)
     for ht in counts:
         if not allowed.allows(ht):
             raise InternalInconsistencyError(
@@ -253,7 +283,7 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    counts = _tally(_euler_from_sorted, n, trials, master_seed, workers, t)
+    counts = _tally(_euler_from_counts, n, t, trials, master_seed, workers)
     return _normal_estimate(list(counts.elements()))
 
 
@@ -272,10 +302,11 @@ def estimate_betti(
     return _normal_estimate(values)
 
 
-def _covers(xs: list[float], radius: float) -> bool:
-    """Closed arcs of the radius cover the circle iff no window is empty; an
-    arc of length >= 1 covers it alone, though a lone point's window is."""
-    return 2 * radius >= 1 or 0 not in window_counts(xs, radius)
+def _covers(counts: list[int], radius: float) -> bool:
+    """Closed arcs of the radius cover the circle iff no window of length
+    2 * radius is empty; an arc of length >= 1 covers it alone, though a
+    lone point's window is empty."""
+    return 2 * radius >= 1 or 0 not in counts
 
 
 def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
@@ -283,7 +314,7 @@ def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> E
         raise DomainError("trials must be >= 2")
     if radius <= 0:
         raise DomainError("radius must be > 0")
-    counts = _tally(_covers, n, trials, master_seed, 1, radius)
+    counts = _tally(_covers, n, radius, trials, master_seed, 1, radius)
     return wilson_estimate(counts[True], trials)
 
 
@@ -389,10 +420,16 @@ def verify_theorem_elder_c(
     Runs at the window center t = (1 - (n-k)/((n-1)k))/2, i.e. at
     t = n(k-1)/(2k(n-1)).  The published Theorem C center n(k+1)/(2k(n-1))
     exceeds 1/2, so the value consistent with the B_{k,delta} window is used.
+    That t lies in k's band, floor(1 / (1 - 2t)) = k, iff n > k^2.
     """
     if delta is None:
         delta = k * omega(k) / 2
     bounds = elder_c_bounds(k, n, delta, epsilon)
+    if not n > k * k:
+        raise DomainError(
+            f"verify c needs n > k^2, so that its t = n(k-1)/(2k(n-1)) lies in "
+            f"k's band; got n={n}, k={k}"
+        )
     rho_center = (n - k) / ((n - 1) * k)
     t = (1 - rho_center) / 2
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)

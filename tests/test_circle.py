@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import (
     DomainError,
@@ -22,7 +22,7 @@ from cechcircle import (
     uniform_config,
 )
 from cechcircle.circle import parse_decimal, window_counts
-from cechcircle.montecarlo import _covers, _sorted_sample, estimate_chi, estimate_coverage, trial_rng
+from cechcircle.montecarlo import _covers, estimate_chi, estimate_coverage, trial_rng
 
 from conftest import random_config, rational_grid_instance
 
@@ -83,8 +83,8 @@ def test_is_simplex_monotone():
 
 
 def test_covers_circle_examples():
-    assert _covers(uniform_config(4).positions, 0.125)  # gaps 0.25 = 2 * 0.125
-    assert not _covers([0, 0.5], 0.2)
+    assert _covers(window_counts(uniform_config(4).positions, 0.125), 0.125)  # gaps 0.25 = 2 * 0.125
+    assert not _covers(window_counts([0, 0.5], 0.2), 0.2)
     with pytest.raises(DomainError):
         estimate_coverage(4, 0, 10, 1)
 
@@ -97,7 +97,7 @@ def test_coverage_duality():
         n = int(rng.integers(1, 11))
         config = random_config(rng, n)
         t = float(rng.uniform(0.05, 0.45))
-        covered = _covers(config.positions, 0.5 - t)
+        covered = _covers(window_counts(config.positions, 0.5 - t), 0.5 - t)
         simplex = is_simplex(config, range(config.n), t)
         assert covered == (not simplex)
 
@@ -136,6 +136,68 @@ def test_window_counts_match_exact_reference_on_rational_grids(instance):
 def test_window_counts_exact_at_wrap_ties_on_the_philox_grid(instance):
     xs, t = instance
     assert window_counts(xs, t) == _reference_counts(xs, t)
+
+
+@st.composite
+def philox_grid_rows(draw):
+    """Rows of n distinct floats on the 2^-53 grid, with t a wrap tie of one
+    row, a width 2t >= 1, or any t."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.sets(st.integers(0, 2**53 - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    xs = np.array([sorted(row) for row in rows], dtype=float) * 2.0**-53
+    kind = draw(st.sampled_from(["wrap tie", "wide", "any"]))
+    if kind == "wrap tie" and n > 1:
+        r = draw(st.integers(0, len(xs) - 1))
+        a = draw(st.integers(1, n - 1))
+        b = draw(st.integers(0, a - 1))
+        return xs, float(1 - (xs[r, a] - xs[r, b])) / 2
+    if kind == "wide":
+        return xs, draw(st.floats(0.5, 2))
+    return xs, draw(st.floats(2.0**-53, 0.5))
+
+
+@st.composite
+def rational_grid_rows(draw):
+    """Object-array rows of n distinct points i/d, with t = j/(4d) up to past 1/2."""
+    d = draw(st.integers(1, 24))
+    n = draw(st.integers(1, min(d, 10)))
+    rows = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    xs = np.array([[Fraction(i, d) for i in sorted(row)] for row in rows], dtype=object)
+    return xs, Fraction(draw(st.integers(1, 4 * d + 2)), 4 * d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(philox_grid_rows())
+@example((np.array([[0.25], [0.0]]), 0.1))  # n = 1
+@example((np.array([[0.0, 0.5], [0.25, 0.75]]), 0.5))  # 2t = 1
+def test_window_counts_of_many_rows_match_the_reference_row_by_row(instance):
+    xs, t = instance
+    assert window_counts(xs, t) == [_reference_counts(row, t) for row in xs.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_grid_rows())
+def test_window_counts_of_fraction_rows_match_the_reference_row_by_row(instance):
+    xs, t = instance
+    assert window_counts(xs, t) == [_reference_counts(row, t) for row in xs.tolist()]
+
+
+def test_window_counts_of_a_large_block_leave_no_tie_to_rounding():
+    # row r of a block is searched shifted by 4r, which rounds away low bits;
+    # every row here has ties or near-ties that only the exact test decides
+    rng = np.random.default_rng(71)
+    w = int(rng.integers(1, 2**53))  # 2t = w 2^-53
+    ks = rng.integers(0, 2**53, (300, 4))
+    ties = np.sort(np.concatenate([ks, (ks + w) % 2**53], axis=1), axis=1) * 2.0**-53  # x, x + 2t
+    near = np.sort([rng.choice(13, 6, replace=False) for _ in range(300)], axis=1)
+    clustered = 0.5 + (near - 6) * 2.0**-52
+    for xs, t in ((ties, w * 2.0**-54), (clustered, 3 * 2.0**-53)):
+        assert window_counts(xs, t) == [_reference_counts(row, t) for row in xs.tolist()]
+    decimals = np.sort(rng.integers(0, 100, (300, 8)), axis=1) / 100
+    for t in (0.05, 0.15, 0.25, 0.35):
+        assert window_counts(decimals, t) == [window_counts(row, t) for row in decimals]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +308,7 @@ def test_euler_matches_reference_dp_on_rational_grids(instance):
 @given(st.integers(1, 400), st.integers(0, 2**64 - 1),
        st.floats(0.01, 0.49, allow_nan=False, allow_infinity=False))
 def test_euler_matches_reference_dp_on_philox_samples(n, seed, t):
-    config = PointConfig(tuple(_sorted_sample(n, trial_rng(seed, 0))))
+    config = PointConfig(tuple(np.sort(trial_rng(seed, 0).random(n)).tolist()))
     assert euler_char_exact(config, t) == _reference_euler(config.positions, t)
 
 

@@ -57,11 +57,62 @@ def test_chi_curve_json_round_trip(capsys):
         assert float(r["chi"]) == expected_euler_char(4, float(r["t"]))
 
 
+def test_chi_curve_json_is_one_indented_list(capsys):
+    code, out, _ = run_cli(capsys, "chi-curve", "--n", "7", "--format", "json",
+                           "--t-min", "0.013", "--t-max", "0.4999", "--steps", "4")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_chi_curve_streams_the_rows_of_a_huge_grid():
+    import os
+    import subprocess
+    import sys
+    import threading
+    import time
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "cechcircle.cli", "chi-curve", "--n", "5",
+            "--t-min", "0.01", "--t-max", "0.4", "--steps", "100000000000"]
+    started = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, text=True)
+    killer = threading.Timer(5, proc.kill)  # a grid built up front prints nothing for minutes
+    killer.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+    finally:
+        killer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert time.perf_counter() - started < 5
+    assert lines[0] == "n,t,chi,chi_normalized\n"
+    assert lines[1].startswith("5,0.01,")
+    assert [len(line.split(",")) for line in lines[1:]] == [4, 4]
+
+
 def test_chi_curve_bad_grid_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "chi-curve", "--n", "3",
                            "--t-min", "0.3", "--t-max", "0.1", "--steps", "5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--t-min", "0.1", "--t-max", "0.3", "--steps", "5"],
+    ["--n", "3", "--t-min", "0.1", "--t-max", "0.3", "--steps", "0"],
+    ["--n", "3", "--t-min", "0.1", "--t-max", "0.3", "--steps", "1"],
+    ["--n", "3", "--t-min", "0", "--t-max", "0.3", "--steps", "5"],
+    ["--n", "3", "--t-min", "0.1", "--t-max", "0.5", "--steps", "5"],
+    ["--n", "3", "--t-min", "0.1", "--t-max", "0.1", "--steps", "5"],
+    ["--n", "3", "--t-min", "0.1", "--t-max", "0.3", "--steps", str(10**17)],
+])
+def test_chi_curve_checks_come_before_any_row(capsys, argv):
+    code, out, err = run_cli(capsys, "chi-curve", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +159,14 @@ def test_spikes_bad_range_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("epsilon", ["2", "1", "0", "-0.5"])
+def test_spikes_epsilon_outside_unit_interval_usage_error(capsys, epsilon):
+    code, out, err = run_cli(capsys, "spikes", "--n", "100", "--max-m", "3", "--epsilon", epsilon)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --epsilon must be in (0, 1)\n"  # before any row: no warnings
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +333,19 @@ def test_verify_missing_flag_usage_error(capsys):
                            "--trials", "100", "--seed", "1")
     assert code == 2
     assert "--t" in err
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_verify_c_with_n_at_most_k_squared_usage_error(capsys, monkeypatch, n):
+    # its t = n(k-1)/(2k(n-1)) lies in k's band iff n > k^2; no trial runs
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", "c", "--k", "2", "--n", n, "--trials", "2", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify c needs n > k^2")
+    assert f"n={n}, k=2" in err
 
 
 def test_verify_bad_theorem_name(capsys):

@@ -22,7 +22,7 @@ from cechcircle import (
     verify_theorem_b,
     verify_theorem_elder_c,
 )
-from cechcircle.montecarlo import GENERATOR_ID, wilson_estimate
+from cechcircle.montecarlo import GENERATOR_ID, trial_rng, wilson_estimate
 
 
 def _census_key_dict(census):
@@ -168,17 +168,52 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
 def test_census_counts_each_sample_once(monkeypatch):
     from cechcircle import montecarlo
 
-    calls = []
+    rows = []
     count = montecarlo.window_counts
-    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: calls.append(t) or count(xs, t))
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
     run_census(12, 0.2525, 40, master_seed=3)
-    assert len(calls) == 40  # one row per sample feeds the type and the cross-check
+    assert sum(rows) == 40  # one row per sample feeds the type and the cross-check
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("n", [1, 5, 100, 1000])
+def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
+    # chunks from 0 and from mid-range; the default block, or blocks of 3
+    # rows that split each chunk
+    from cechcircle import montecarlo
+
+    blocks = []
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
+    if block_rows:
+        monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", block_rows * n)
+    rows = max(1, montecarlo.BLOCK_POSITIONS // n)
+    seed = 2**64 - 3
+    for trials in (range(0, 7), range(37, 46)):
+        blocks.clear()
+        montecarlo._tally_chunk(montecarlo._euler_from_counts, n, 0.2, seed, (), trials)
+        sizes = [min(rows, trials.stop - lo) for lo in range(trials.start, trials.stop, rows)]
+        assert [len(block) for block in blocks] == sizes
+        want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
+        assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
+
+
+def test_outcome_error_names_the_failing_sample(monkeypatch):
+    from cechcircle import InternalInconsistencyError, montecarlo
+
+    euler = montecarlo._euler_from_counts
+    monkeypatch.setattr(montecarlo, "_euler_from_counts",  # wrong first at trial 18
+                        lambda counts: -1 if sum(counts) > 14 else euler(counts))
+    with pytest.raises(InternalInconsistencyError) as err:
+        run_census(6, 0.2, 60, master_seed=1)
+    positions = tuple(np.sort(trial_rng(1, 18).random(6)).tolist())
+    assert str(err.value).endswith(f" at t=0.2, positions {positions}")
 
 
 def test_duplicate_position_is_one_more_vertex():
     # the multiset's complex has the type, chi and coverage of the set
     from cechcircle import PointConfig, betti_gf2, build_complex, classify
-    from cechcircle.circle import _euler_from_sorted
+    from cechcircle.circle import _euler_from_counts, window_counts
     from cechcircle.montecarlo import _classified, _covers
 
     rng = np.random.default_rng(61)
@@ -188,12 +223,14 @@ def test_duplicate_position_is_one_more_vertex():
         xs = sorted([Fraction(int(i), d) for i in idx] + [Fraction(int(rng.choice(idx)), d)])
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
         unique = PointConfig.from_points(xs)
-        ht = _classified(xs, t, True)
+        counts, unique_counts = window_counts(xs, t), window_counts(unique.positions, t)
+        ht = _classified(counts, True)
         assert ht == classify(unique, t)
         assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
-        assert _euler_from_sorted(xs, t) == _euler_from_sorted(unique.positions, t)
+        assert _euler_from_counts(counts) == _euler_from_counts(unique_counts)
         for radius in (t, Fraction(1, 2) - t, Fraction(1, 2)):
-            assert _covers(xs, radius) == _covers(unique.positions, radius)
+            assert _covers(window_counts(xs, radius), radius) == \
+                _covers(window_counts(unique.positions, radius), radius)
 
 
 def test_census_rejects_bad_trials():
@@ -242,6 +279,14 @@ def test_estimate_coverage():
     assert est.mean == 0.0
     est = estimate_coverage(2, 0.3, 20000, master_seed=9)
     assert abs(est.mean - 0.2) <= 3 * est.std_error + 1e-9
+
+
+def test_estimate_coverage_with_arcs_of_length_one_or_more():
+    # a window of length 2 * radius >= 1 holds every further point, and a lone
+    # point's empty window still counts as covered
+    for n in (1, 2, 7):
+        for radius in (0.5, 0.75, 3.0):
+            assert estimate_coverage(n, radius, 50, master_seed=n).mean == 1.0
 
 
 def test_wilson_interval_contains_mean():

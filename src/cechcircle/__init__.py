@@ -26,7 +26,6 @@ from .exact import (
     coverage_probability,
     elder_c_bounds,
     expected_euler_char,
-    expected_euler_curve,
     n_k_homotopy,
     omega,
     spike_a_exact,

@@ -77,12 +77,12 @@ def is_simplex(config: PointConfig, subset, t) -> bool:
     return mg >= 1 - 2 * t
 
 
-def window_counts(xs, t) -> list:
+def window_counts(xs, t) -> np.ndarray:
     """For each of the sorted positions xs, how many further points lie in
     the closed forward arc of length 2t starting there (capped at n-1).
 
     xs is one sorted row of positions, or a (rows, n) array of sorted rows;
-    the counts come back as nested lists of the same shape.  Fractions go
+    the counts come back as an integer array of the same shape.  Fractions go
     through object arrays, so their arithmetic stays exact.  With ext the
     row's positions shifted by -1 followed by the row itself, c_i is the
     number of e in (i, i+n) with ext[e] - ext[i] <= 2t: x_b - x_a, or
@@ -109,7 +109,7 @@ def window_counts(xs, t) -> list:
         grow = (last < end) & (ext[last + 1] - start <= width)
         shrink = (last > first) & ~(ext[last] - start <= width)
         if not (grow.any() or shrink.any()):
-            return (last - first).reshape(xs.shape).tolist()
+            return (last - first).reshape(xs.shape)
         last += grow.astype(last.dtype) - shrink
 
 
@@ -122,7 +122,7 @@ def euler_char_exact(config: PointConfig, t) -> int:
     `_euler_from_counts`), so the exact integer answer takes O(n) steps on
     random samples and never more than O(n^2).
     """
-    return _euler_from_counts(window_counts(config.positions, t))
+    return _euler_from_counts(window_counts(config.positions, t).tolist())
 
 
 def _euler_from_counts(counts: list[int]) -> int:
@@ -185,7 +185,7 @@ def build_complex(config: PointConfig, t):
     if n > _ENUM_GUARD:
         raise SizeError(f"build_complex limited to n <= {_ENUM_GUARD}, got {n}")
     window_masks = set()
-    for i, c in enumerate(window_counts(config.positions, t)):
+    for i, c in enumerate(window_counts(config.positions, t).tolist()):
         mask = 0
         for d in range(c + 1):
             mask |= 1 << ((i + d) % n)

@@ -6,16 +6,21 @@ arc of length 2t from point i, so ties are decided exactly as the Euler DP
 and the complex builder decide them, and exactly on Fractions and on Philox
 samples.  An empty window is a gap > 2t after its point: several give a
 wedge of points, one an arc (contractible).  A window holding every point
-makes the whole set one simplex.  Otherwise the arcs cover the circle and the
-type is decided by the winding fraction of the orbit map f(i) = i + c_i
-(mod n) (Adamaszek, Adams, Frick, Peterson and Previte-Johnson, "Nerve
-complexes of circular arcs", DCG 2016).  `type_from_counts` decides from a
-count row alone, so a Monte Carlo sample is counted once for its type and
-its Euler cross-check.  `classify` counts one configuration and validates
-the answer against the realizability constraint set; a violation is an
-internal error.  A census checks each distinct type against that set once.
+makes the whole set one simplex.  Otherwise the arcs cover the circle, and
+the type depends only on the rotation of the monotone circle map
+f(i) = (i + c_i) mod n on its periodic set S (Adamaszek, Adams, Frick,
+Peterson and Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016):
+f rotates S by s places, so each of the P = gcd(|S|, s) periodic orbits
+winds w = s/|S| times per step.  `types_from_counts` decides a whole block
+of count rows at once, so a Monte Carlo sample is counted once for its type
+and its Euler cross-check.  `classify` counts one configuration and
+validates the answer against the realizability constraint set; a violation
+is an internal error.  A census checks each distinct type against that set
+once.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .circle import PointConfig, window_counts
 from .errors import DomainError, InternalInconsistencyError
@@ -29,61 +34,51 @@ def classify(config: PointConfig, t) -> HomotopyType:
         raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    return _validated(type_from_counts(window_counts(config.positions, t)), config.n, t)
+    ht, = types_from_counts(window_counts([config.positions], t))
+    return _validated(ht, config.n, t)
 
 
-def type_from_counts(counts: list[int]) -> HomotopyType:
-    """Homotopy type of a Cech complex from its `window_counts`, unvalidated."""
-    breaks = counts.count(0)
-    if breaks > 1:
-        return HomotopyType.wedge_even(breaks - 1, 0)
-    if breaks == 1 or max(counts) == len(counts) - 1:
-        # one gap > 2t leaves a single arc, and a window holding every point
-        # makes the whole set one simplex: both contractible
-        return HomotopyType.point()
-    return _winding_type(counts)
+def types_from_counts(counts: np.ndarray) -> list[HomotopyType]:
+    """Homotopy type of each row of a `(rows, n)` block of `window_counts`,
+    unvalidated.
 
-
-def _winding_type(counts: list[int]) -> HomotopyType:
-    """Homotopy type of a covering nerve from its forward window counts.
-
-    A periodic orbit of f(i) = i + c_i of length p winds W / n times around
-    the circle, with W the sum of c over the orbit; its winding fraction is
-    w = W / (n p), the same on every orbit.  With P periodic orbits and
-    q = w / (1 - w) = W / (n p - W): an integer q = l gives the wedge of P - 1
-    copies of S^(2l), otherwise the type is S^(2 floor(q) + 1).  Counts are
-    below n, so n p - W > 0.
+    A covering row has every c_i in [1, n - 2] and non-decreasing window
+    ends i + c_i + 1, so f is a monotone degree-one circle map without fixed
+    points.  S is the image of f^m for any m >= n, reached by ceil(log2 n)
+    squarings, and s the rank in S of f(min S).  With
+    l, r = divmod(s, |S| - s) the type is the wedge of P - 1 copies of
+    S^(2l) if r = 0, else S^(2l+1).
     """
-    n = len(counts)
-    walk = [-1] * n  # the start of the walk that first reached each index
-    orbits = 0
-    winding = None  # (W, n p) of the first periodic orbit found
-    for start in range(n):
-        v = start
-        while walk[v] < 0:
-            walk[v] = start
-            v = (v + counts[v]) % n
-        if walk[v] != start:
-            continue  # ran into a walk that is already accounted for
-        orbits += 1  # v lies on a periodic orbit seen for the first time
-        total, u = counts[v], (v + counts[v]) % n
-        length = 1
-        while u != v:
-            total += counts[u]
-            u = (u + counts[u]) % n
-            length += 1
-        if winding is None:
-            winding = (total, n * length)
-        elif total * winding[1] != winding[0] * n * length:
-            raise InternalInconsistencyError(
-                f"periodic orbits wind {winding[0]}/{winding[1]} and "
-                f"{total}/{n * length} times per step"
-            )
-    wound, steps = winding
-    l, r = divmod(wound, steps - wound)
-    if r == 0:
-        return HomotopyType.wedge_even(orbits - 1, l).canonical()
-    return HomotopyType.odd_sphere(l)
+    rows, n = counts.shape
+    breaks = (counts == 0).sum(1)
+    covering = (breaks == 0) & (counts.max(1) < n - 1)
+    a = np.maximum(breaks - 1, 0)
+    l = np.zeros(rows, dtype=np.int64)
+    odd = np.zeros(rows, dtype=bool)
+    # f and its powers as flat indices into the covering rows, row j's
+    # points at n j .. n j + n - 1, so that squaring is one fancy index
+    cov = counts[covering]
+    base = n * np.arange(len(cov))
+    f = ((np.arange(n) + cov) % n + base[:, None]).ravel()
+    image = f
+    for _ in range((n - 1).bit_length()):
+        image = image[image]
+    periodic = np.zeros(f.shape, dtype=bool)
+    periodic[image] = True
+    periodic = periodic.reshape(cov.shape)
+    size = periodic.sum(1)
+    rank = periodic.cumsum(1).ravel() - 1
+    s = rank[f[base + periodic.argmax(1)]]
+    l[covering], r = np.divmod(s, size - s)
+    odd[covering] = r != 0
+    a[covering] = np.gcd(size, s) - 1
+    keys = list(zip(odd.tolist(), l.tolist(), a.tolist()))
+    types = {
+        key: HomotopyType.odd_sphere(key[1]) if key[0]
+        else HomotopyType.wedge_even(key[2], key[1]).canonical()
+        for key in set(keys)
+    }
+    return [types[key] for key in keys]
 
 
 def _validated(result: HomotopyType, n: int, t) -> HomotopyType:

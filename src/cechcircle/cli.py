@@ -4,7 +4,8 @@ All numeric output is printed with 17 significant digits so runs are
 reproducible across platforms.  `classify` reads its point file and --t as
 exact decimals, so ties are decided exactly; the Monte Carlo commands take
 --t as a float, since random samples have no ties.  Exit codes: 0
-success/PASS, 1 runtime failure, internal error or FAIL, 2 usage error.
+success/PASS, also when the reader of stdout closes it early, 1 runtime
+failure, internal error or FAIL, 2 usage error.
 """
 from __future__ import annotations
 
@@ -265,6 +266,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # the reader of stdout has gone (`chi-curve ... | head`): stop
+            # quietly, and let the interpreter's last flush go to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

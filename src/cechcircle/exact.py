@@ -117,23 +117,6 @@ def expected_euler_char(n: int, t, *, exact: bool = False):
     return math.fsum(terms)
 
 
-def expected_euler_curve(n: int, t_grid):
-    """Pointwise expected Euler characteristic: list of (t, chi, chi/n)."""
-    grid = list(t_grid)
-    if not grid:
-        raise DomainError("empty t grid")
-    for lo, hi in zip(grid, grid[1:]):
-        if not lo < hi:
-            raise DomainError("t grid must be strictly increasing")
-    if grid[0] <= 0 or grid[-1] >= 0.5:
-        raise DomainError("grid values must lie in (0, 1/2)")
-    out = []
-    for t in grid:
-        chi = expected_euler_char(n, t)
-        out.append((t, chi, chi / n))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spike analytics
 # ---------------------------------------------------------------------------

@@ -3,18 +3,19 @@ verification harness.
 
 Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
 draws n uniform points from an independent Philox stream keyed by
-(master_seed, i), sorts them and evaluates one per-sample outcome on the
-sample's `window_counts` row, and the engine returns the multiset of
-outcomes.  The census passes that row to both the classifier and the Euler
-DP, the chi estimator to the DP, and coverage is "no empty window".  The
-engine works a chunk of trials at a time: one Philox generator per chunk is
-reset to each trial's key, the rows are drawn into a block of about
-BLOCK_POSITIONS positions, sorted together and counted by one batched,
-exact `window_counts` call, so memory does not grow with the number of
-trials.  A repeated position is one more vertex; nothing dedups it.
-Results are therefore bit-identical regardless of execution order, block
-size or worker count.  Proportions get Wilson intervals, means get normal
-intervals; 99% confidence by default.
+(master_seed, i), sorts them and counts their windows, and the engine
+returns the multiset of per-sample outcomes.  The engine works a chunk of
+trials at a time: one Philox generator per chunk is reset to each trial's
+key, the rows are drawn into a block of about BLOCK_POSITIONS positions,
+sorted together and counted by one batched, exact `window_counts` call, so
+memory does not grow with the number of trials.  An outcome reads the whole
+block of count rows and yields one result per row: the census classifies
+the block at once and runs the Euler DP on each row, the chi estimator runs
+the DP on each row, and coverage is "no empty window".  A repeated position
+is one more vertex; nothing dedups it.  Results are therefore bit-identical
+regardless of execution order, block size or worker count.  Proportions
+get Wilson intervals, means get normal intervals; 99% confidence by
+default.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .circle import _euler_from_counts, window_counts
-from .classify import type_from_counts
+from .classify import types_from_counts
 from .errors import DomainError, InternalInconsistencyError
 from .exact import (
     allowed_types,
@@ -66,8 +67,8 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *args) -> Counter:
-    """Multiset of outcome(window counts of trial i's sample at t, *args)
-    over i < trials.
+    """Multiset of the results that outcome(block of window count rows at t,
+    *args) yields, one per row, over the samples of trials i < trials.
 
     An `InternalInconsistencyError` raised by an outcome is raised again
     naming t and the sample's positions.  With p = min(workers, trials,
@@ -130,9 +131,10 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: rang
             bit_generator.state = fresh
             generator.random(out=row)
         block.sort(axis=1)
+        results = iter(outcome(window_counts(block, t), *args))
         try:
-            for j, counts in enumerate(window_counts(block, t)):
-                tally[outcome(counts, *args)] += 1
+            for j in range(len(block)):  # j is the row whose result is being made
+                tally[next(results)] += 1
         except InternalInconsistencyError as exc:
             positions = tuple(block[j].tolist())
             raise InternalInconsistencyError(f"{exc} at t={t}, positions {positions}") from None
@@ -221,14 +223,14 @@ class Census:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def _classified(counts: list[int], cross_check: bool) -> HomotopyType:
-    """Homotopy type of one sample from its window counts; with
-    `cross_check`, its Euler characteristic must equal the gap DP's on the
-    same counts."""
-    ht = type_from_counts(counts)
-    if cross_check and ht.euler_characteristic() != _euler_from_counts(counts):
-        raise InternalInconsistencyError(f"Euler cross-check failed for {ht.display()}")
-    return ht
+def _classified(counts: np.ndarray, cross_check: bool):
+    """Homotopy type of each sample of a block, from its window count rows;
+    with `cross_check`, each type's Euler characteristic must equal the gap
+    DP's on the same row."""
+    for ht, row in zip(types_from_counts(counts), counts.tolist()):
+        if cross_check and ht.euler_characteristic() != _euler_from_counts(row):
+            raise InternalInconsistencyError(f"Euler cross-check failed for {ht.display()}")
+        yield ht
 
 
 def run_census(
@@ -283,8 +285,13 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    counts = _tally(_euler_from_counts, n, t, trials, master_seed, workers)
+    counts = _tally(_eulers, n, t, trials, master_seed, workers)
     return _normal_estimate(list(counts.elements()))
+
+
+def _eulers(counts: np.ndarray):
+    """The gap DP's Euler characteristic of each row of a block of window counts."""
+    return map(_euler_from_counts, counts.tolist())
 
 
 def estimate_betti(
@@ -302,11 +309,11 @@ def estimate_betti(
     return _normal_estimate(values)
 
 
-def _covers(counts: list[int], radius: float) -> bool:
-    """Closed arcs of the radius cover the circle iff no window of length
-    2 * radius is empty; an arc of length >= 1 covers it alone, though a
-    lone point's window is empty."""
-    return 2 * radius >= 1 or 0 not in counts
+def _covers(counts: np.ndarray, radius: float):
+    """Per row of window counts (a bool for one row), whether the closed arcs
+    of the radius cover the circle: iff no window of length 2 * radius is
+    empty, or if 2 * radius >= 1, though a lone point's window is empty."""
+    return (counts.all(-1) | (2 * radius >= 1)).tolist()
 
 
 def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
@@ -377,6 +384,9 @@ def verify_theorem_a2(
     if n < 2:
         raise DomainError("n must be >= 2")
     if t is None:
+        if not n > k:
+            raise DomainError(f"verify a2 needs n > k without --t, so that its default "
+                              f"t = n(k-1)/(2k(n-1)) lies below 1/2; got n={n}, k={k}")
         t = (k - 1) * n / (2 * (n - 1) * k)  # spike center
     chi_norm = expected_euler_char(n, t) / n
     est = estimate_betti(n, t, 2 * k - 2, trials, master_seed, workers)

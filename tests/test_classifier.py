@@ -1,9 +1,8 @@
-"""Homotopy-type classification: window counts, the winding-fraction rule,
-and its agreement with the homology oracle and the Euler DP."""
+"""Homotopy-type classification: window counts, the rotation rule, and its
+agreement with the orbit-walk reference, the homology oracle and the Euler DP."""
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cechcircle import (
@@ -15,10 +14,11 @@ from cechcircle import (
     classify,
     euler_char_exact,
     n_k_homotopy,
+    trial_rng,
     uniform_config,
 )
 from cechcircle.circle import window_counts
-from cechcircle.classify import _winding_type
+from cechcircle.classify import types_from_counts
 from cechcircle.errors import InternalInconsistencyError
 
 from conftest import random_config, rational_grid_instance
@@ -53,7 +53,7 @@ def test_dismantle_removes_crowded_point():
     # windows at t = 0.26 all hold 2 further points, i.e. N(4, 2) = S^2
     crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
     reduced = uniform_config(4)
-    assert window_counts(reduced.positions, Fraction(26, 100)) == [2, 2, 2, 2]
+    assert window_counts(reduced.positions, Fraction(26, 100)).tolist() == [2, 2, 2, 2]
     assert classify(crowded, 0.26) == classify(reduced, 0.26) == n_k_homotopy(4, 2)
     assert betti_gf2(build_complex(crowded, 0.26)) == betti_gf2(build_complex(reduced, 0.26))
 
@@ -113,6 +113,7 @@ def test_classify_exact_ties_match_oracle_and_dp(instance):
     ht = classify(config, t)
     assert ht.betti() == betti_gf2(build_complex(config, t))
     assert ht.euler_characteristic() == euler_char_exact(config, t)
+    assert ht == _reference_type(window_counts(config.positions, t).tolist())
 
 
 def test_classify_philox_sample_with_wrap_tie():
@@ -157,7 +158,104 @@ def test_classify_decimal_floats_match_dp_and_oracle(instance):
     _assert_classify_agrees(*instance)
 
 
-def test_winding_type_rejects_unequal_orbit_windings():
-    # orbit {0, 2} advances 2 per step, fixed point 1 advances 0
-    with pytest.raises(InternalInconsistencyError):
-        _winding_type([2, 0, 2, 0])
+# ---------------------------------------------------------------------------
+# types_from_counts against the orbit walk it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_winding_type(counts: list[int]) -> HomotopyType:
+    """Homotopy type of a covering nerve from its forward window counts.
+
+    A periodic orbit of f(i) = i + c_i of length p winds W / n times around
+    the circle, with W the sum of c over the orbit; its winding fraction is
+    w = W / (n p), the same on every orbit.  With P periodic orbits and
+    q = w / (1 - w) = W / (n p - W): an integer q = l gives the wedge of P - 1
+    copies of S^(2l), otherwise the type is S^(2 floor(q) + 1).  Counts are
+    below n, so n p - W > 0.
+    """
+    n = len(counts)
+    walk = [-1] * n  # the start of the walk that first reached each index
+    orbits = 0
+    winding = None  # (W, n p) of the first periodic orbit found
+    for start in range(n):
+        v = start
+        while walk[v] < 0:
+            walk[v] = start
+            v = (v + counts[v]) % n
+        if walk[v] != start:
+            continue  # ran into a walk that is already accounted for
+        orbits += 1  # v lies on a periodic orbit seen for the first time
+        total, u = counts[v], (v + counts[v]) % n
+        length = 1
+        while u != v:
+            total += counts[u]
+            u = (u + counts[u]) % n
+            length += 1
+        if winding is None:
+            winding = (total, n * length)
+        elif total * winding[1] != winding[0] * n * length:
+            raise InternalInconsistencyError(
+                f"periodic orbits wind {winding[0]}/{winding[1]} and "
+                f"{total}/{n * length} times per step"
+            )
+    wound, steps = winding
+    l, r = divmod(wound, steps - wound)
+    if r == 0:
+        return HomotopyType.wedge_even(orbits - 1, l).canonical()
+    return HomotopyType.odd_sphere(l)
+
+
+def _reference_type(counts: list[int]) -> HomotopyType:
+    """Type of one count row: empty windows and full windows first, then the walk."""
+    breaks = counts.count(0)
+    if breaks > 1:
+        return HomotopyType.wedge_even(breaks - 1, 0)
+    if breaks == 1 or max(counts) == len(counts) - 1:
+        return HomotopyType.point()
+    return _reference_winding_type(counts)
+
+
+@st.composite
+def philox_block(draw):
+    """Sorted Philox samples of n points, a few trials of one seed, and t."""
+    n = draw(st.integers(1, 400))
+    seed = draw(st.integers(0, 2**64 - 1))
+    first = draw(st.integers(0, 2**32))
+    rows = draw(st.integers(1, 6))
+    t = draw(st.floats(0.01, 0.49))
+    xs = np.sort([trial_rng(seed, i).random(n) for i in range(first, first + rows)], axis=1)
+    return xs, t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(philox_block())
+def test_types_from_counts_match_the_orbit_walk_on_philox_blocks(block):
+    counts = window_counts(*block)
+    assert types_from_counts(counts) == [_reference_type(row) for row in counts.tolist()]
+
+
+def test_types_from_counts_decide_each_row_of_a_mixed_block_alone():
+    block = np.array([
+        [1, 0, 1, 0, 0, 0],  # four empty windows: four components
+        [1, 1, 1, 1, 1, 0],  # one empty window: an arc
+        [5, 4, 3, 2, 2, 1],  # the first window holds every point
+        [2, 2, 1, 2, 2, 1],  # f rotates its periodic set {0, 2, 3, 5} by 1
+        [3, 3, 3, 4, 4, 4],
+        [3, 3, 3, 3, 3, 3],  # N(6, 3): three orbits of length 2
+        [2, 2, 2, 4, 4, 3],
+        [4, 4, 4, 4, 4, 4],  # N(6, 4)
+    ])
+    want = [
+        HomotopyType.wedge_even(3, 0),
+        HomotopyType.point(),
+        HomotopyType.point(),
+        HomotopyType.odd_sphere(0),
+        HomotopyType.odd_sphere(1),
+        HomotopyType.wedge_even(2, 1),
+        HomotopyType.wedge_even(1, 1),
+        HomotopyType.wedge_even(1, 2),
+    ]
+    got = types_from_counts(block)
+    assert got == want
+    assert got == [types_from_counts(block[i:i + 1])[0] for i in range(len(block))]
+    assert got == [_reference_type(row) for row in block.tolist()]
+    assert want[5] == n_k_homotopy(6, 3) and want[7] == n_k_homotopy(6, 4)

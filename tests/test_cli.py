@@ -92,6 +92,32 @@ def test_chi_curve_streams_the_rows_of_a_huge_grid():
     assert [len(line.split(",")) for line in lines[1:]] == [4, 4]
 
 
+def test_chi_curve_stops_quietly_when_the_reader_closes_the_pipe():
+    # `chi-curve ... | head -2`: the rows left go nowhere, with no error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "cechcircle.cli", "chi-curve", "--n", "5",
+            "--t-min", "0.01", "--t-max", "0.4", "--steps", "100000000000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert lines[0] == "n,t,chi,chi_normalized\n"
+    assert lines[1].startswith("5,0.01,")
+    assert code == 0
+    assert err == ""
+
+
 def test_chi_curve_bad_grid_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "chi-curve", "--n", "3",
                            "--t-min", "0.3", "--t-max", "0.1", "--steps", "5")
@@ -346,6 +372,19 @@ def test_verify_c_with_n_at_most_k_squared_usage_error(capsys, monkeypatch, n):
     assert out == ""
     assert err.startswith("error: verify c needs n > k^2")
     assert f"n={n}, k=2" in err
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_verify_a2_with_n_at_most_k_and_no_t_usage_error(capsys, monkeypatch, k):
+    # its default t = n(k-1)/(2k(n-1)) lies below 1/2 iff n > k; no trial runs
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", "a2", "--k", k, "--n", k, "--trials", "5", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify a2 needs n > k without --t")
+    assert f"n={k}, k={k}" in err
 
 
 def test_verify_bad_theorem_name(capsys):

@@ -14,7 +14,6 @@ from cechcircle import (
     coverage_probability,
     elder_c_bounds,
     expected_euler_char,
-    expected_euler_curve,
     n_k_homotopy,
     omega,
     spike_a_exact,
@@ -155,33 +154,17 @@ def test_chi_float_matches_rational():
 
 
 def test_chi_curve_basic():
-    rows = expected_euler_curve(3, [0.1, 0.25, 0.4])
-    assert [r[0] for r in rows] == [0.1, 0.25, 0.4]
-    assert rows[1][1] == pytest.approx(0.75, abs=1e-14)
-    assert rows[1][2] == pytest.approx(0.25, abs=1e-14)
+    chi = expected_euler_char(3, 0.25)
+    assert chi == pytest.approx(0.75, abs=1e-14)
+    assert chi / 3 == pytest.approx(0.25, abs=1e-14)
 
 
 def test_chi_curve_single_point_is_constant_one():
-    rows = expected_euler_curve(1, [0.01, 0.1, 0.3, 0.49])
-    assert all(chi == 1.0 for _, chi, _ in rows)
+    assert all(expected_euler_char(1, t) == 1.0 for t in [0.01, 0.1, 0.3, 0.49])
 
 
 def test_chi_curve_full_simplex_limit():
-    (_, chi, _), = expected_euler_curve(10, [0.499])
-    assert abs(chi - 1.0) < 0.05
-
-
-def test_chi_curve_grid_validation():
-    with pytest.raises(DomainError):
-        expected_euler_curve(3, [])
-    with pytest.raises(DomainError):
-        expected_euler_curve(3, [0.2, 0.1])
-    with pytest.raises(DomainError):
-        expected_euler_curve(3, [0.1, 0.1])
-    with pytest.raises(DomainError):
-        expected_euler_curve(3, [0.0, 0.1])
-    with pytest.raises(DomainError):
-        expected_euler_curve(3, [0.1, 0.5])
+    assert abs(expected_euler_char(10, 0.499) - 1.0) < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
     seed = 2**64 - 3
     for trials in (range(0, 7), range(37, 46)):
         blocks.clear()
-        montecarlo._tally_chunk(montecarlo._euler_from_counts, n, 0.2, seed, (), trials)
+        montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, (), trials)
         sizes = [min(rows, trials.stop - lo) for lo in range(trials.start, trials.stop, rows)]
         assert [len(block) for block in blocks] == sizes
         want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
@@ -224,7 +224,7 @@ def test_duplicate_position_is_one_more_vertex():
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
         unique = PointConfig.from_points(xs)
         counts, unique_counts = window_counts(xs, t), window_counts(unique.positions, t)
-        ht = _classified(counts, True)
+        ht, = _classified(window_counts([xs], t), True)
         assert ht == classify(unique, t)
         assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
         assert _euler_from_counts(counts) == _euler_from_counts(unique_counts)

@@ -10,9 +10,9 @@ its differences are exact on Fractions and on Philox samples (2^-53 grid).
 It counts one row or a whole block of rows in numpy: one searchsorted
 guesses every window end and an exact fix-up settles each tie, on float
 arrays and on object arrays of Fractions alike.  A Monte Carlo sample is
-counted once, in its block, and every outcome reads that row.  The Euler DP
-needs nothing else: its chain counts reduce to ancestor tests on a tree
-read from the counts, O(n) steps on random samples.  Only the test
+counted once, in its block.  The Euler DP needs nothing else: its chain
+counts reduce to ancestor tests on a tree read from the counts, O(n) steps
+on random samples, run for all rows of a block together.  Only the test
 reference `is_simplex` compares cyclic gaps instead.
 """
 from __future__ import annotations
@@ -114,58 +114,59 @@ def window_counts(xs, t) -> np.ndarray:
 
 
 def euler_char_exact(config: PointConfig, t) -> int:
-    """Exact Euler characteristic of Cech(config, t) via the gap DP.
-
-    chi = sum_s (-1)^(s-1) N_s with N_s = C(n,s) - M_s, where M_s counts
-    s-subsets that span no simplex: no window holds them all.  The DP's
-    chain counts telescope into ancestor tests on a tree over 0..n (see
-    `_euler_from_counts`), so the exact integer answer takes O(n) steps on
-    random samples and never more than O(n^2).
-    """
-    return _euler_from_counts(window_counts(config.positions, t).tolist())
+    """Exact Euler characteristic of Cech(config, t) via the gap DP of
+    `_eulers_from_counts`: chi = sum_s (-1)^(s-1) (C(n,s) - M_s), with M_s
+    the s-subsets that no window holds; O(n) steps on random samples, never
+    more than O(n^2)."""
+    return int(_eulers_from_counts(window_counts([config.positions], t))[0])
 
 
-def _euler_from_counts(counts: list[int]) -> int:
-    """Euler characteristic of a Cech complex from its `window_counts` c.
+def _eulers_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Euler characteristic of the Cech complex of each row c of a
+    `(rows, n)` block of `window_counts`, as an int64 array.
 
     A set S spans no simplex iff no window of a chosen point reaches the
     chosen point cyclically before it.  Fix the lowest chosen index i and
     let h_i[j] be the signed count, (-1)^(length), of chains i = j_0 < ... <
     j_last = j in which no window reaches the previous chain point, with
     prefix sums pref_i[j+1] = h_i[i] + ... + h_i[j].  Across the wrap, j's
-    window reaches a < j iff a < first_j = c_j - (n-1-j), with c the
-    `window_counts`.  So pref_i[m] = 0 for m <= i, pref_i[i+1] = -1, and
-    pref_i[j+1] = pref_i[p(j+1)] for j > i, with parent p(j+1) =
-    max(first_j, 0) <= j.  Hence pref_i[k] = -1 exactly when i+1 lies on
-    the path k -> p(k) -> ... -> 0, and 0 otherwise.  A chain must end past
-    i's window, beyond i + c_i, and the sum of h_i over those ends
-    telescopes to pref_i[n] - pref_i[min(i + c_i + 1, n)]:
+    window reaches a < j iff a < first_j = c_j - (n-1-j).  So pref_i[m] = 0
+    for m <= i, pref_i[i+1] = -1, and pref_i[j+1] = pref_i[p(j+1)] for j > i,
+    with parent p(j+1) = max(first_j, 0) <= j.  Hence pref_i[k] = -1 exactly
+    when i+1 lies on the path k -> p(k) -> ... -> 0, and 0 otherwise.  A
+    chain must end past i's window, beyond i + c_i, and the sum of h_i over
+    those ends telescopes to pref_i[n] - pref_i[min(i + c_i + 1, n)]:
 
         chi = 1 + #{i : i+1 lies on the path from min(i + c_i + 1, n)}
                 - #{nodes >= 1 on the path from n}.
 
     Each test walks the path down to i+1 in at most c_i steps, and in about
     2t/(1-2t) steps on random samples, where a step jumps back by about
-    n(1-2t) points.
+    n(1-2t) points.  All rows advance together, row r's tree at flat
+    indices offset by (n+1) r, so a block takes as many steps as its
+    longest path.
     """
-    n = len(counts)
-    if max(counts) == n - 1:
-        return 1  # one window holds every point: the full simplex
+    rows, n = counts.shape
+    chi = np.ones(rows, dtype=np.int64)  # a window holding every point: the full simplex
+    split = np.flatnonzero(counts.max(1) < n - 1)
+    c = counts[split]
+    k = np.arange(1, n + 1)
+    base = (n + 1) * np.arange(len(c))[:, None]
     # parent[k] = max(first_{k-1}, 0) with first_{k-1} = c_{k-1} + k - n
-    parent = [0] + [k + c - n if k + c > n else 0 for k, c in enumerate(counts, 1)]
-    chi = 1
-    for top, c in enumerate(counts, 1):  # top = i + 1
-        node = top + c
-        if node > n:
-            node = n
-        while node > top:
-            node = parent[node]
-        if node == top:
-            chi += 1
-    node = n
-    while node:
-        chi -= 1
-        node = parent[node]
+    parent = np.concatenate([base, base + np.maximum(k + c - n, 0)], axis=1).ravel()
+    top = (base + k).ravel()  # top = i + 1
+    node = (base + np.minimum(k + c, n)).ravel()
+    up = np.flatnonzero(node > top)
+    while len(up):
+        step = parent[node[up]]
+        node[up] = step
+        up = up[step > top[up]]
+    path, live = base[:, 0] + n, np.arange(len(c))  # rows whose node on the path from n is >= 1
+    while len(live):
+        chi[split[live]] -= 1
+        path[live] = parent[path[live]]
+        live = live[path[live] > base[live, 0]]
+    chi[split] += (node == top).reshape(c.shape).sum(1)
     return chi
 
 

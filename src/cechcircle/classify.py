@@ -12,11 +12,10 @@ f(i) = (i + c_i) mod n on its periodic set S (Adamaszek, Adams, Frick,
 Peterson and Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016):
 f rotates S by s places, so each of the P = gcd(|S|, s) periodic orbits
 winds w = s/|S| times per step.  `types_from_counts` decides a whole block
-of count rows at once, so a Monte Carlo sample is counted once for its type
-and its Euler cross-check.  `classify` counts one configuration and
-validates the answer against the realizability constraint set; a violation
-is an internal error.  A census checks each distinct type against that set
-once.
+of count rows at once and gives its distinct types and each row's index.
+`classify` counts one configuration and validates the answer against the
+realizability constraint set; a violation is an internal error.  A census
+checks each distinct type against that set once.
 """
 from __future__ import annotations
 
@@ -34,13 +33,16 @@ def classify(config: PointConfig, t) -> HomotopyType:
         raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    ht, = types_from_counts(window_counts([config.positions], t))
-    return _validated(ht, config.n, t)
+    (ht,), _ = types_from_counts(window_counts([config.positions], t))
+    if not allowed_types(config.n, t).allows(ht):
+        raise InternalInconsistencyError(
+            f"classified type {ht.display()} violates the constraint set for n={config.n}, t={t}")
+    return ht
 
 
-def types_from_counts(counts: np.ndarray) -> list[HomotopyType]:
-    """Homotopy type of each row of a `(rows, n)` block of `window_counts`,
-    unvalidated.
+def types_from_counts(counts: np.ndarray) -> tuple[list[HomotopyType], np.ndarray]:
+    """The distinct homotopy types of the rows of a `(rows, n)` block of
+    `window_counts`, unvalidated, and for each row the index of its type.
 
     A covering row has every c_i in [1, n - 2] and non-decreasing window
     ends i + c_i + 1, so f is a monotone degree-one circle map without fixed
@@ -72,19 +74,10 @@ def types_from_counts(counts: np.ndarray) -> list[HomotopyType]:
     l[covering], r = np.divmod(s, size - s)
     odd[covering] = r != 0
     a[covering] = np.gcd(size, s) - 1
-    keys = list(zip(odd.tolist(), l.tolist(), a.tolist()))
-    types = {
-        key: HomotopyType.odd_sphere(key[1]) if key[0]
-        else HomotopyType.wedge_even(key[2], key[1]).canonical()
-        for key in set(keys)
-    }
-    return [types[key] for key in keys]
-
-
-def _validated(result: HomotopyType, n: int, t) -> HomotopyType:
-    if not allowed_types(n, t).allows(result):
-        raise InternalInconsistencyError(
-            f"classified type {result.display()} violates the constraint "
-            f"set for n={n}, t={t}"
-        )
-    return result
+    l[~odd & (a == 0)] = 0  # a wedge of no spheres is a point
+    a[odd] = 0  # and an odd sphere has no wedge multiplicity
+    codes, index = np.unique((a * (n + 1) + l) * 2 + odd, return_inverse=True)
+    a, l = np.divmod(codes // 2, n + 1)  # a, l <= n
+    types = [HomotopyType.odd_sphere(l) if odd else HomotopyType.wedge_even(a, l)
+             for odd, l, a in zip((codes % 2).tolist(), l.tolist(), a.tolist())]
+    return types, index

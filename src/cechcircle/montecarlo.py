@@ -9,13 +9,13 @@ trials at a time: one Philox generator per chunk is reset to each trial's
 key, the rows are drawn into a block of about BLOCK_POSITIONS positions,
 sorted together and counted by one batched, exact `window_counts` call, so
 memory does not grow with the number of trials.  An outcome reads the whole
-block of count rows and yields one result per row: the census classifies
-the block at once and runs the Euler DP on each row, the chi estimator runs
-the DP on each row, and coverage is "no empty window".  A repeated position
-is one more vertex; nothing dedups it.  Results are therefore bit-identical
-regardless of execution order, block size or worker count.  Proportions
-get Wilson intervals, means get normal intervals; 99% confidence by
-default.
+block of count rows and gives each row's result, computed per block: the
+census classifies the block, checks it against the block Euler DP and
+counts each distinct type once, the chi estimator runs the DP, and
+coverage is "no empty window".  A repeated position is one more vertex;
+nothing dedups it.  Results are therefore bit-identical regardless of
+execution order, block size or worker count.  Proportions get Wilson
+intervals, means get normal intervals; 99% confidence by default.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .circle import _euler_from_counts, window_counts
+from .circle import _eulers_from_counts, window_counts
 from .classify import types_from_counts
 from .errors import DomainError, InternalInconsistencyError
 from .exact import (
@@ -68,12 +68,14 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *args) -> Counter:
     """Multiset of the results that outcome(block of window count rows at t,
-    *args) yields, one per row, over the samples of trials i < trials.
+    *args) gives, one per row, over the samples of trials i < trials.
 
-    An `InternalInconsistencyError` raised by an outcome is raised again
-    naming t and the sample's positions.  With p = min(workers, trials,
-    CPUs) > 1 the trials are cut into about 16 contiguous chunks per
-    process, which the calling process runs in order.  Once it has run for
+    An outcome returns what `Counter.update` takes: one result per row, or
+    each result with its number of rows.  An InternalInconsistencyError
+    with args (message, row) is raised again naming t and the row's
+    positions.  With p = min(workers, trials, CPUs) > 1 the trials are cut
+    into about 16 contiguous chunks per process, rounded up to whole blocks,
+    which the calling process runs in order.  Once it has run for
     POOL_AFTER_S with at least as long left at its pace so far, at most p
     processes take the chunks left; `outcome` and `args` must then be
     picklable.  Shorter calls never start a pool.  Either way the error of
@@ -90,7 +92,8 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *arg
     processes = min(workers, trials, os.cpu_count() or 1)
     if processes <= 1:
         return run(range(trials))
-    size = -(-trials // (16 * processes))
+    rows = max(1, BLOCK_POSITIONS // n)
+    size = rows * -(-trials // (16 * processes * rows))  # whole blocks
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     counts: Counter = Counter()
     start = time.perf_counter()
@@ -115,8 +118,7 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: rang
     One Philox generator serves the whole chunk: before trial i it is reset
     to the state of `trial_rng(master_seed, i)` (key [master_seed, i],
     counter 0, empty buffer), so row i holds exactly that stream's first n
-    draws.  A block holds about BLOCK_POSITIONS positions, so memory does
-    not grow with the number of trials.
+    draws.  A block holds about BLOCK_POSITIONS positions.
     """
     bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
     generator = np.random.Generator(bit_generator)
@@ -131,13 +133,12 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: rang
             bit_generator.state = fresh
             generator.random(out=row)
         block.sort(axis=1)
-        results = iter(outcome(window_counts(block, t), *args))
         try:
-            for j in range(len(block)):  # j is the row whose result is being made
-                tally[next(results)] += 1
+            tally.update(outcome(window_counts(block, t), *args))
         except InternalInconsistencyError as exc:
-            positions = tuple(block[j].tolist())
-            raise InternalInconsistencyError(f"{exc} at t={t}, positions {positions}") from None
+            message, row = exc.args
+            positions = tuple(block[row].tolist())
+            raise InternalInconsistencyError(f"{message} at t={t}, positions {positions}") from None
     return tally
 
 
@@ -223,14 +224,19 @@ class Census:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def _classified(counts: np.ndarray, cross_check: bool):
-    """Homotopy type of each sample of a block, from its window count rows;
-    with `cross_check`, each type's Euler characteristic must equal the gap
-    DP's on the same row."""
-    for ht, row in zip(types_from_counts(counts), counts.tolist()):
-        if cross_check and ht.euler_characteristic() != _euler_from_counts(row):
-            raise InternalInconsistencyError(f"Euler cross-check failed for {ht.display()}")
-        yield ht
+def _classified(counts: np.ndarray, cross_check: bool) -> dict[HomotopyType, int]:
+    """The homotopy types of a block of window count rows, each with its
+    number of rows.  With `cross_check`, the first row whose type's Euler
+    characteristic is not the gap DP's raises
+    InternalInconsistencyError(message, row)."""
+    types, index = types_from_counts(counts)
+    if cross_check:
+        chi = np.array([ht.euler_characteristic() for ht in types])[index]
+        wrong = np.flatnonzero(chi != _eulers_from_counts(counts))
+        if len(wrong):
+            ht, row = types[index[wrong[0]]], int(wrong[0])
+            raise InternalInconsistencyError(f"Euler cross-check failed for {ht.display()}", row)
+    return dict(zip(types, np.bincount(index).tolist()))
 
 
 def run_census(
@@ -289,9 +295,9 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     return _normal_estimate(list(counts.elements()))
 
 
-def _eulers(counts: np.ndarray):
+def _eulers(counts: np.ndarray) -> list[int]:
     """The gap DP's Euler characteristic of each row of a block of window counts."""
-    return map(_euler_from_counts, counts.tolist())
+    return _eulers_from_counts(counts).tolist()
 
 
 def estimate_betti(

@@ -21,10 +21,10 @@ from cechcircle import (
     load_point_file,
     uniform_config,
 )
-from cechcircle.circle import parse_decimal, window_counts
+from cechcircle.circle import _eulers_from_counts, parse_decimal, window_counts
 from cechcircle.montecarlo import _covers, estimate_chi, estimate_coverage, trial_rng
 
-from conftest import random_config, rational_grid_instance
+from conftest import philox_block, random_config, rational_grid_instance
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,36 @@ def _reference_euler(xs, t) -> int:
     return 1 + total
 
 
+def _reference_tree_euler(counts: list[int]) -> int:
+    """The tree DP of `_eulers_from_counts`, one row at a time in Python."""
+    n = len(counts)
+    if max(counts) == n - 1:
+        return 1  # one window holds every point: the full simplex
+    # parent[k] = max(first_{k-1}, 0) with first_{k-1} = c_{k-1} + k - n
+    parent = [0] + [k + c - n if k + c > n else 0 for k, c in enumerate(counts, 1)]
+    chi = 1
+    for top, c in enumerate(counts, 1):  # top = i + 1
+        node = top + c
+        if node > n:
+            node = n
+        while node > top:
+            node = parent[node]
+        if node == top:
+            chi += 1
+    node = n
+    while node:
+        chi -= 1
+        node = parent[node]
+    return chi
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(rational_grid_instance())
 def test_euler_matches_reference_dp_on_rational_grids(instance):
     config, t = instance
     assert euler_char_exact(config, t) == _reference_euler(config.positions, t)
+    counts = window_counts([config.positions] * 2, t)
+    assert _eulers_from_counts(counts).tolist() == [_reference_tree_euler(counts[0].tolist())] * 2
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -310,6 +335,34 @@ def test_euler_matches_reference_dp_on_rational_grids(instance):
 def test_euler_matches_reference_dp_on_philox_samples(n, seed, t):
     config = PointConfig(tuple(np.sort(trial_rng(seed, 0).random(n)).tolist()))
     assert euler_char_exact(config, t) == _reference_euler(config.positions, t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(philox_block(max_t=0.499))
+def test_block_euler_matches_the_references_row_by_row(block):
+    xs, t = block
+    counts = window_counts(xs, t)
+    got = _eulers_from_counts(counts)
+    assert got.dtype == np.int64 and got.shape == (len(xs),)
+    assert got.tolist() == [_reference_tree_euler(row) for row in counts.tolist()]
+    if xs.shape[1] <= 60:
+        assert got.tolist() == [_reference_euler(row, t) for row in xs]
+
+
+def test_block_euler_decides_each_row_of_a_mixed_block_alone():
+    block = np.array([
+        [5, 4, 3, 2, 2, 1],  # the first window holds every point: chi 1
+        [1, 0, 1, 0, 0, 0],  # four empty windows: four components
+        [1, 1, 1, 1, 1, 0],  # one empty window: an arc
+        [2, 2, 1, 2, 2, 1],  # S^1
+        [3, 3, 3, 4, 4, 4],  # S^3
+        [3, 3, 3, 3, 3, 3],  # N(6, 3), the wedge of two 2-spheres
+        [2, 2, 2, 4, 4, 3],  # S^2
+    ])
+    got = _eulers_from_counts(block).tolist()
+    assert got == [1, 4, 1, 0, 0, 3, 2]
+    assert got == [_eulers_from_counts(block[i:i + 1])[0] for i in range(len(block))]
+    assert got == [_reference_tree_euler(row) for row in block.tolist()]
 
 
 @pytest.mark.parametrize("n,t", [(10, 0.1), (50, 0.2525), (100, 0.33)])

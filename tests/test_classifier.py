@@ -14,14 +14,13 @@ from cechcircle import (
     classify,
     euler_char_exact,
     n_k_homotopy,
-    trial_rng,
     uniform_config,
 )
 from cechcircle.circle import window_counts
 from cechcircle.classify import types_from_counts
 from cechcircle.errors import InternalInconsistencyError
 
-from conftest import random_config, rational_grid_instance
+from conftest import philox_block, random_config, rational_grid_instance
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +213,19 @@ def _reference_type(counts: list[int]) -> HomotopyType:
     return _reference_winding_type(counts)
 
 
-@st.composite
-def philox_block(draw):
-    """Sorted Philox samples of n points, a few trials of one seed, and t."""
-    n = draw(st.integers(1, 400))
-    seed = draw(st.integers(0, 2**64 - 1))
-    first = draw(st.integers(0, 2**32))
-    rows = draw(st.integers(1, 6))
-    t = draw(st.floats(0.01, 0.49))
-    xs = np.sort([trial_rng(seed, i).random(n) for i in range(first, first + rows)], axis=1)
-    return xs, t
+def _row_types(counts) -> list[HomotopyType]:
+    """The type of each row, from `types_from_counts`' distinct types and
+    row indices, which must list each type once."""
+    types, index = types_from_counts(counts)
+    assert len(set(types)) == len(types) == index.max() + 1
+    return [types[i] for i in index.tolist()]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(philox_block())
 def test_types_from_counts_match_the_orbit_walk_on_philox_blocks(block):
     counts = window_counts(*block)
-    assert types_from_counts(counts) == [_reference_type(row) for row in counts.tolist()]
+    assert _row_types(counts) == [_reference_type(row) for row in counts.tolist()]
 
 
 def test_types_from_counts_decide_each_row_of_a_mixed_block_alone():
@@ -254,8 +249,8 @@ def test_types_from_counts_decide_each_row_of_a_mixed_block_alone():
         HomotopyType.wedge_even(1, 1),
         HomotopyType.wedge_even(1, 2),
     ]
-    got = types_from_counts(block)
+    got = _row_types(block)
     assert got == want
-    assert got == [types_from_counts(block[i:i + 1])[0] for i in range(len(block))]
+    assert got == [_row_types(block[i:i + 1])[0] for i in range(len(block))]
     assert got == [_reference_type(row) for row in block.tolist()]
     assert want[5] == n_k_homotopy(6, 3) and want[7] == n_k_homotopy(6, 4)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from cechcircle import cli
@@ -243,7 +244,7 @@ def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
 def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
     from cechcircle import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_euler_from_counts", lambda counts: -1)
+    monkeypatch.setattr(montecarlo, "_eulers_from_counts", lambda c: np.full(len(c), -1))
     code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
                              "--trials", "3", "--seed", "1", "--threads", "1")
     assert code == 1

@@ -69,7 +69,7 @@ def test_census_constraint_keys_k2():
 def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    monkeypatch.setattr(montecarlo, "_euler_from_counts", lambda counts: -1)
+    monkeypatch.setattr(montecarlo, "_eulers_from_counts", lambda c: np.full(len(c), -1))
     with pytest.raises(InternalInconsistencyError, match=r"t=0\.2, positions \(0\."):
         run_census(6, 0.2, 5, master_seed=1)
     assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
@@ -103,6 +103,7 @@ def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
 
     started = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 10 chunks
     serial = run_census(6, 0.2, 10, master_seed=4).counts
     assert run_census(6, 0.2, 10, master_seed=4, workers=2).counts == serial
     assert started == []  # far shorter than POOL_AFTER_S: no pool
@@ -133,6 +134,7 @@ def test_tally_starts_no_pool_for_one_stalled_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "_tally_chunk", first_chunk_stalls)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 30 chunks
     run_census(6, 0.2, 60, master_seed=1, workers=2)
     assert started == []  # the stall predicted 2.8 s more, but only 0.09 s had passed
 
@@ -141,6 +143,7 @@ def test_tally_in_a_pool_matches_serial(monkeypatch):
     from cechcircle import montecarlo
 
     monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)  # a real pool after the first chunk
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4 * 12)  # 4-row blocks: 25 chunks
     assert run_census(12, 0.2, 200, master_seed=9, workers=2).counts == \
         run_census(12, 0.2, 200, master_seed=9).counts
 
@@ -151,11 +154,12 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
 
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    euler = montecarlo._euler_from_counts
-    monkeypatch.setattr(montecarlo, "_euler_from_counts",  # wrong first at trial 18, then at 6 more
-                        lambda counts: -1 if sum(counts) > 14 else euler(counts))
+    euler = montecarlo._eulers_from_counts
+    monkeypatch.setattr(montecarlo, "_eulers_from_counts",  # wrong first at trial 18, then at 6 more
+                        lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 30 chunks
     with pytest.raises(InternalInconsistencyError) as serial:
         run_census(6, 0.2, 60, master_seed=1)
     for after in (0.0, 10.0):  # the pool runs all chunks but the first, or none
@@ -173,6 +177,23 @@ def test_census_counts_each_sample_once(monkeypatch):
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
     run_census(12, 0.2525, 40, master_seed=3)
     assert sum(rows) == 40  # one row per sample feeds the type and the cross-check
+
+
+def test_tally_cuts_chunks_at_block_boundaries(monkeypatch):
+    # 100 trials at n = 100 with 2 workers: blocks of 40 rows, not 25 chunks of 4
+    import concurrent.futures
+
+    from cechcircle import montecarlo
+
+    rows, started = [], []
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
+    t = 0.25252525252525254
+    pooled = run_census(100, t, 100, master_seed=12, workers=2).counts
+    assert rows == [40, 40, 20]
+    assert started == []
+    assert pooled == run_census(100, t, 100, master_seed=12).counts
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
@@ -201,9 +222,9 @@ def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
 def test_outcome_error_names_the_failing_sample(monkeypatch):
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    euler = montecarlo._euler_from_counts
-    monkeypatch.setattr(montecarlo, "_euler_from_counts",  # wrong first at trial 18
-                        lambda counts: -1 if sum(counts) > 14 else euler(counts))
+    euler = montecarlo._eulers_from_counts
+    monkeypatch.setattr(montecarlo, "_eulers_from_counts",  # wrong first at trial 18
+                        lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     with pytest.raises(InternalInconsistencyError) as err:
         run_census(6, 0.2, 60, master_seed=1)
     positions = tuple(np.sort(trial_rng(1, 18).random(6)).tolist())
@@ -213,7 +234,7 @@ def test_outcome_error_names_the_failing_sample(monkeypatch):
 def test_duplicate_position_is_one_more_vertex():
     # the multiset's complex has the type, chi and coverage of the set
     from cechcircle import PointConfig, betti_gf2, build_complex, classify
-    from cechcircle.circle import _euler_from_counts, window_counts
+    from cechcircle.circle import _eulers_from_counts, window_counts
     from cechcircle.montecarlo import _classified, _covers
 
     rng = np.random.default_rng(61)
@@ -223,11 +244,11 @@ def test_duplicate_position_is_one_more_vertex():
         xs = sorted([Fraction(int(i), d) for i in idx] + [Fraction(int(rng.choice(idx)), d)])
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
         unique = PointConfig.from_points(xs)
-        counts, unique_counts = window_counts(xs, t), window_counts(unique.positions, t)
-        ht, = _classified(window_counts([xs], t), True)
+        counts, unique_counts = window_counts([xs], t), window_counts([unique.positions], t)
+        ht, = _classified(counts, True)
         assert ht == classify(unique, t)
         assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
-        assert _euler_from_counts(counts) == _euler_from_counts(unique_counts)
+        assert _eulers_from_counts(counts).tolist() == _eulers_from_counts(unique_counts).tolist()
         for radius in (t, Fraction(1, 2) - t, Fraction(1, 2)):
             assert _covers(window_counts(xs, radius), radius) == \
                 _covers(window_counts(unique.positions, radius), radius)

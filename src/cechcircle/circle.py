@@ -1,11 +1,11 @@
 """Circle geometry: point configurations, window counts, exact per-sample
-Euler characteristics, the oracle complex and the point-file format.
+Euler characteristics and the point-file format.
 
 Positions live on the unit-circumference circle [0, 1), as floats or exact
-Fractions (equally spaced configurations and point files).  Every reach test
-("the closed arc of length 2t from point a reaches point b") is made by
-`window_counts`, whose counts the classifier, the Euler DP, coverage (no
-empty window) and the complex builder all read, so each tie is decided once;
+Fractions (point files).  Every reach test ("the closed arc of length 2t
+from point a reaches point b") is made by `window_counts`, whose counts the
+classifier and the Euler DP read, and so do the test references for coverage
+(no empty window) and the complex builder, so each tie is decided once;
 its differences are exact on Fractions and on Philox samples (2^-53 grid).
 It counts one row or a whole block of rows in numpy: one searchsorted
 guesses every window end and an exact fix-up settles each tie, on float
@@ -13,7 +13,7 @@ arrays and on object arrays of Fractions alike.  A Monte Carlo sample is
 counted once, in its block.  The Euler DP needs nothing else: its chain
 counts reduce to ancestor tests on a tree read from the counts, O(n) steps
 on random samples, run for all rows of a block together.  Only the test
-reference `is_simplex` compares cyclic gaps instead.
+references' subset predicate (tests/reference.py) compares cyclic gaps.
 """
 from __future__ import annotations
 
@@ -24,9 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, PointFileError, SizeError
-
-_ENUM_GUARD = 20  # build_complex enumerates 2^n subsets
+from .errors import DomainError, PointFileError
 
 
 @dataclass(frozen=True)
@@ -50,31 +48,6 @@ class PointConfig:
     @property
     def n(self) -> int:
         return len(self.positions)
-
-
-def uniform_config(n: int) -> PointConfig:
-    """n equally spaced points i/n, held as exact rationals."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return PointConfig(tuple(Fraction(i, n) for i in range(n)))
-
-
-def is_simplex(config: PointConfig, subset, t) -> bool:
-    """True iff closed arcs of radius t centered at the subset intersect.
-
-    Equivalently, the subset's maximum cyclic gap is >= 1 - 2t (ties count).
-    ``subset`` is an iterable of vertex indices into the configuration.
-    """
-    idx = sorted(set(subset))
-    if not idx:
-        raise DomainError("empty subset")
-    xs = config.positions
-    pts = [xs[i] for i in idx]
-    if len(pts) == 1:
-        return True  # single gap is the whole circle, 1 >= 1 - 2t
-    mg = max(b - a for a, b in zip(pts, pts[1:]))
-    mg = max(mg, 1 - pts[-1] + pts[0])
-    return mg >= 1 - 2 * t
 
 
 def window_counts(xs, t) -> np.ndarray:
@@ -111,14 +84,6 @@ def window_counts(xs, t) -> np.ndarray:
         if not (grow.any() or shrink.any()):
             return (last - first).reshape(xs.shape)
         last += grow.astype(last.dtype) - shrink
-
-
-def euler_char_exact(config: PointConfig, t) -> int:
-    """Exact Euler characteristic of Cech(config, t) via the gap DP of
-    `_eulers_from_counts`: chi = sum_s (-1)^(s-1) (C(n,s) - M_s), with M_s
-    the s-subsets that no window holds; O(n) steps on random samples, never
-    more than O(n^2)."""
-    return int(_eulers_from_counts(window_counts([config.positions], t))[0])
 
 
 def _eulers_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -168,46 +133,6 @@ def _eulers_from_counts(counts: np.ndarray) -> np.ndarray:
         live = live[path[live] > base[live, 0]]
     chi[split] += (node == top).reshape(c.shape).sum(1)
     return chi
-
-
-# ---------------------------------------------------------------------------
-# Oracle materialization (small n only)
-# ---------------------------------------------------------------------------
-
-def build_complex(config: PointConfig, t):
-    """Materialize Cech(config, t) as an explicit simplex list (n <= 20).
-
-    Simplices are exactly the nonempty subsets of the closed windows of
-    length 2t, so the complex is face-closed by construction.
-    """
-    from .homology import SimplicialComplex
-
-    n = config.n
-    if n > _ENUM_GUARD:
-        raise SizeError(f"build_complex limited to n <= {_ENUM_GUARD}, got {n}")
-    window_masks = set()
-    for i, c in enumerate(window_counts(config.positions, t).tolist()):
-        mask = 0
-        for d in range(c + 1):
-            mask |= 1 << ((i + d) % n)
-        window_masks.add(mask)
-    maximal = [
-        w for w in window_masks
-        if not any(o != w and o | w == o for o in window_masks)
-    ]
-    masks: set[int] = set()
-    for w in maximal:
-        masks.update(_submasks_of(w, n))
-    return SimplicialComplex(n, sorted(masks))
-
-
-def _submasks_of(mask: int, n: int):
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Every decision is read from the forward window counts c_i of
 `circle.window_counts`, the number of further points in the closed forward
 arc of length 2t from point i, so ties are decided exactly as the Euler DP
-and the complex builder decide them, and exactly on Fractions and on Philox
-samples.  An empty window is a gap > 2t after its point: several give a
-wedge of points, one an arc (contractible).  A window holding every point
-makes the whole set one simplex.  Otherwise the arcs cover the circle, and
-the type depends only on the rotation of the monotone circle map
+and the test reference complex builder decide them, and exactly on Fractions
+and on Philox samples.  An empty window is a gap > 2t after its point:
+several give a wedge of points, one an arc (contractible).  A window holding
+every point makes the whole set one simplex.  Otherwise the arcs cover the
+circle, and the type depends only on the rotation of the monotone circle map
 f(i) = (i + c_i) mod n on its periodic set S (Adamaszek, Adams, Frick,
 Peterson and Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016):
 f rotates S by s places, so each of the P = gcd(|S|, s) periodic orbits

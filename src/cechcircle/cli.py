@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--margin", type=_finite_float, default=0.05)
     p.add_argument("--slack", type=_finite_float, default=0.1)
     p.add_argument("--threads", type=int, default=None,
@@ -239,8 +238,7 @@ def cmd_verify(args) -> int:
             raise CechCircleError("verify c requires --k")
         report = verify_theorem_elder_c(
             args.k, args.n, args.trials, args.seed,
-            delta=args.delta, epsilon=args.epsilon, slack=args.slack,
-            workers=workers,
+            delta=args.delta, slack=args.slack, workers=workers,
         )
     _emit(report.to_json() + "\n", args.output)
     print("PASS" if report.passed else "FAIL", file=sys.stderr)

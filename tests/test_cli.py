@@ -446,9 +446,23 @@ def test_largest_seed_is_accepted(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["census", "--n", "16777217", "--t", "0.2", "--trials", "1", "--seed", "1"],
+    ["verify", "a1", "--n", "16777217", "--t", "0.25", "--trials", "2", "--seed", "1"],
+])
+def test_n_above_2_to_the_24_usage_error(capsys, monkeypatch, argv):
+    # one row of 2^24 points already peaks at about 1.3 GB; no trial runs
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally_chunk", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be <= 2^24, got 16777217\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "a2", "--k", "2", "--n", "50", "--trials", "10", "--seed", "1", "--margin", "nan"],
     ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--slack", "inf"],
-    ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--epsilon", "nan"],
     ["verify", "c", "--k", "2", "--n", "100", "--trials", "10", "--seed", "1", "--delta", "inf"],
     ["spikes", "--n", "100", "--max-m", "3", "--epsilon", "nan"],
     ["chi-curve", "--n", "10", "--t-min", "nan", "--t-max", "0.3", "--steps", "3"],
@@ -462,3 +476,31 @@ def test_non_finite_or_garbled_float_option_usage_error(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be a finite number" in captured.err
+
+
+def test_every_command_runs_without_the_tests_on_the_path(tmp_path):
+    # pytest puts tests/ on sys.path, so an import of the test references
+    # from the package would pass every in-process test and fail for users
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "pts.txt").write_text("0\n0.2\n0.4\n0.6\n0.8\n")
+    commands = [
+        "chi-curve --n 5 --t-min 0.1 --t-max 0.3 --steps 3", "spikes --n 100 --max-m 3",
+        "census --n 12 --t 0.2525 --trials 20 --seed 3", "classify --input pts.txt --t 0.3",
+        "verify a1 --n 10 --t 0.2 --trials 500 --seed 3",
+        "verify a2 --k 2 --n 50 --trials 300 --seed 3",
+        "verify b --k 0 --n 50 --t 0.125 --trials 100 --seed 3",
+        "verify c --k 2 --n 100 --trials 300 --seed 3",
+    ]
+    script = ("import contextlib, io, sys\nfrom cechcircle import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+              "print(codes, sorted({'reference', 'conftest'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *commands], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(commands)} []\n"

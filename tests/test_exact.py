@@ -8,18 +8,12 @@ import numpy as np
 import pytest
 
 from cechcircle import (
-    DomainError,
-    HomotopyType,
-    allowed_types,
-    coverage_probability,
-    elder_c_bounds,
-    expected_euler_char,
-    n_k_homotopy,
-    omega,
-    spike_a_exact,
-    spike_analysis,
+    DomainError, HomotopyType, allowed_types, coverage_probability, elder_c_bounds,
+    expected_euler_char, omega, spike_analysis, theorem_b_params,
+)
+from reference import (
+    coverage_probability_exact, expected_euler_char_exact, n_k_homotopy, spike_a_exact,
     spike_center_exact,
-    theorem_b_params,
 )
 
 
@@ -29,24 +23,24 @@ from cechcircle import (
 
 def test_coverage_one_short_arc_never_covers():
     assert coverage_probability(1, 0.7) == 0.0
-    assert coverage_probability(1, Fraction(7, 10), exact=True) == 0
+    assert coverage_probability_exact(1, Fraction(7, 10)) == 0
 
 
 def test_coverage_two_arcs():
     # second arc's start must fall in an interval of length 2a - 1 = 0.2
-    assert coverage_probability(2, Fraction(3, 5), exact=True) == Fraction(1, 5)
+    assert coverage_probability_exact(2, Fraction(3, 5)) == Fraction(1, 5)
     assert coverage_probability(2, 0.6) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_coverage_three_semicircle_arcs():
     # complement event: all 3 centers in an open semicircle, probability 3/4
-    assert coverage_probability(3, Fraction(1, 2), exact=True) == Fraction(1, 4)
+    assert coverage_probability_exact(3, Fraction(1, 2)) == Fraction(1, 4)
     assert coverage_probability(3, 0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_coverage_full_arc_certain():
     assert coverage_probability(5, 1.0) == 1.0
-    assert coverage_probability(5, Fraction(3, 2), exact=True) == 1
+    assert coverage_probability_exact(5, Fraction(3, 2)) == 1
 
 
 def test_coverage_domain_errors():
@@ -63,7 +57,7 @@ def test_coverage_zero_below_total_length_one():
     for k, a in [(2, Fraction(2, 5)), (3, Fraction(1, 4)), (7, Fraction(1, 8)),
                  (10, Fraction(9, 100))]:
         assert k * a < 1
-        assert coverage_probability(k, a, exact=True) == 0
+        assert coverage_probability_exact(k, a) == 0
 
 
 def test_coverage_monotone_in_k_and_arc():
@@ -96,8 +90,8 @@ def test_coverage_raw_values_near_unit_interval():
 # ---------------------------------------------------------------------------
 
 def test_chi_exact_spot_values():
-    assert expected_euler_char(3, Fraction(1, 4), exact=True) == Fraction(3, 4)
-    assert expected_euler_char(2, Fraction(1, 10), exact=True) == Fraction(8, 5)
+    assert expected_euler_char_exact(3, Fraction(1, 4)) == Fraction(3, 4)
+    assert expected_euler_char_exact(2, Fraction(1, 10)) == Fraction(8, 5)
     assert expected_euler_char(3, 0.25) == pytest.approx(0.75, abs=1e-14)
     assert expected_euler_char(2, 0.1) == pytest.approx(1.6, abs=1e-14)
 
@@ -110,7 +104,7 @@ def test_chi_single_surviving_term():
 def test_chi_full_simplex_regime():
     assert expected_euler_char(7, 0.5) == 1.0
     assert expected_euler_char(7, 0.73) == 1.0
-    assert expected_euler_char(7, Fraction(1, 2), exact=True) == 1
+    assert expected_euler_char_exact(7, Fraction(1, 2)) == 1
 
 
 def test_chi_domain_errors():
@@ -145,11 +139,11 @@ def test_chi_continuous_at_breakpoints():
 
 
 def test_chi_float_matches_rational():
-    for n in range(1, 21):
+    for n in [*range(1, 21), 100, 400]:
         for i in range(1, 101):
             t = i / 256  # dyadic: float and Fraction agree exactly
             got = expected_euler_char(n, t)
-            want = expected_euler_char(n, t, exact=True)
+            want = expected_euler_char_exact(n, t)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, t)
 
 
@@ -226,7 +220,7 @@ def _exact_grid_max(m: int, n: int, points: int = 41) -> Fraction:
     t_hi = (1 - Fraction(spike.window_rho[0])) / 2
     grid = [t_lo + (t_hi - t_lo) * Fraction(i, points - 1) for i in range(points)]
     grid.append(spike_center_exact(m, n))
-    return max(expected_euler_char(n, t, exact=True) for t in grid) / n
+    return max(expected_euler_char_exact(n, t) for t in grid) / n
 
 
 @pytest.mark.parametrize("m,n", [(2, 50), (2, 100), (3, 50), (3, 100)])
@@ -259,26 +253,26 @@ def test_theorem_b_params():
 def test_elder_c_bounds():
     kw2 = 2 * omega(2)  # 1/e
     # at delta = k*omega_k both bounds pinch the trivial window [0, 1]
-    b = elder_c_bounds(2, 100, kw2, 0.1)
-    assert b.beta[0] == pytest.approx(0.0, abs=1e-12)
-    assert b.beta[1] == pytest.approx(1.0, rel=1e-12)
+    b = elder_c_bounds(2, kw2)
+    assert b[0] == pytest.approx(0.0, abs=1e-12)
+    assert b[1] == pytest.approx(1.0, rel=1e-12)
 
-    b = elder_c_bounds(2, 100, 0.1, 0.1)
-    assert b.beta[1] == pytest.approx(math.exp(-1) / 0.1, rel=1e-12)
-    assert b.b_window[1] == 1.0  # clamped
+    b = elder_c_bounds(2, 0.1)
+    assert b[1] == pytest.approx(math.exp(-1) / 0.1, rel=1e-12)
 
-    b = elder_c_bounds(3, 100, 0.2, 0.1)
-    assert b.beta[0] == pytest.approx((2 * math.e**-2 - 0.2) / 0.8, rel=1e-10)
+    b = elder_c_bounds(3, 0.2)
+    assert b[0] == pytest.approx((2 * math.e**-2 - 0.2) / 0.8, rel=1e-10)
 
     for k in (2, 3, 5):
         for delta in (0.05, 0.3, 0.9):
-            b = elder_c_bounds(k, 200, delta, 0.2)
+            b = elder_c_bounds(k, delta)
             kw = k * omega(k)
-            assert b.beta[0] <= kw <= b.beta[1]
-            assert (b.beta[0] > 0) == (delta < kw)
-            assert b.alpha[0] < b.alpha[1]
+            assert b[0] <= kw <= b[1]
+            assert (b[0] > 0) == (delta < kw)
     with pytest.raises(DomainError):
-        elder_c_bounds(2, 100, 0.0, 0.1)
+        elder_c_bounds(2, 0.0)
+    with pytest.raises(DomainError):
+        elder_c_bounds(1, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .exact import (
 from .homotopy import HomotopyType
 from .montecarlo import (
     Census,
-    EstimateWithCI,
     estimate_B,
     estimate_betti,
     estimate_chi,

@@ -74,7 +74,7 @@ def types_from_counts(counts: np.ndarray) -> tuple[list[HomotopyType], np.ndarra
     l[covering], r = np.divmod(s, size - s)
     odd[covering] = r != 0
     a[covering] = np.gcd(size, s) - 1
-    l[~odd & (a == 0)] = 0  # a wedge of no spheres is a point
+    l[~odd & (a == 0)] = 0  # the point has one code, as wedge_even(0, l) is the point
     a[odd] = 0  # and an odd sphere has no wedge multiplicity
     codes, index = np.unique((a * (n + 1) + l) * 2 + odd, return_inverse=True)
     a, l = np.divmod(codes // 2, n + 1)  # a, l <= n

@@ -194,7 +194,6 @@ class AllowedTypes:
     k: int  # floor(1/rho), rho = 1 - 2t
 
     def allows(self, ht: HomotopyType) -> bool:
-        ht = ht.canonical()
         if ht.kind == "odd":
             return 2 * ht.l + 1 <= 2 * self.k - 1
         a, b = ht.a, ht.l

@@ -2,8 +2,8 @@
 
 Every such complex is either an odd-dimensional sphere S^(2l+1) or a
 bouquet of even-dimensional spheres wedge^a(S^2l); the wedge of zero
-spheres is a single point and the wedge of one sphere is the sphere
-itself.
+spheres is a single point, which has the one representation a = l = 0, and
+the wedge of one sphere is the sphere itself.
 """
 from __future__ import annotations
 
@@ -31,6 +31,8 @@ class HomotopyType:
         if self.kind == EVEN:
             if self.a is None or self.a < 0:
                 raise DomainError("even wedge needs a >= 0")
+            if self.a == 0 and self.l != 0:
+                raise DomainError("a wedge of no spheres is the point, with l = 0")
         elif self.a is not None:
             raise DomainError("odd sphere takes no wedge multiplicity")
 
@@ -42,17 +44,12 @@ class HomotopyType:
 
     @staticmethod
     def wedge_even(a: int, l: int) -> "HomotopyType":
-        return HomotopyType(EVEN, l, a)
+        """wedge^a(S^2l); the wedge of no spheres is the point, whatever l."""
+        return HomotopyType(EVEN, l if a else 0, a)
 
     @staticmethod
     def point() -> "HomotopyType":
         return HomotopyType(EVEN, 0, 0)
-
-    def canonical(self) -> "HomotopyType":
-        """Collapse the representation of a point: wedge^0(S^2l) = point for any l."""
-        if self.kind == EVEN and self.a == 0 and self.l != 0:
-            return HomotopyType.point()
-        return self
 
     # -- derived invariants ----------------------------------------------------
 
@@ -65,8 +62,6 @@ class HomotopyType:
         """Betti numbers with trailing zeros trimmed (GF(2) = rational here)."""
         if self.kind == ODD:
             return (1,) + (0,) * (2 * self.l) + (1,)
-        if self.a == 0:
-            return (1,)
         if self.l == 0:
             return (self.a + 1,)
         return (1,) + (0,) * (2 * self.l - 1) + (self.a,)

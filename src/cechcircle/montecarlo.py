@@ -14,8 +14,8 @@ census classifies the block, checks it against the block Euler DP and
 counts each distinct type once, and the chi estimator runs the DP.  A
 repeated position is one more vertex; nothing dedups it.  Results are
 therefore bit-identical regardless of execution order, block size or
-worker count.  Proportions get Wilson intervals, means get normal
-intervals; 99% confidence by default.
+worker count.  An estimate is a mean and its standard error, read from the
+tally of values (value -> number of trials) without a list per trial.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from statistics import NormalDist
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .exact import (
 from .homotopy import HomotopyType
 
 GENERATOR_ID = "numpy-philox4x64"
-DEFAULT_CONFIDENCE = 0.99
 # `_tally` starts a process pool only once the calling process has spent this
 # many seconds on the trials and at least as long again is left.  On a
 # 2-vCPU VM a pool of two costs about 13 ms and 4 000 page faults a call, and
@@ -143,44 +141,29 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, trials: range) -> Counter
     return tally
 
 
-def _z(confidence: float) -> float:
-    return NormalDist().inv_cdf(0.5 + confidence / 2)
-
-
 @dataclass(frozen=True)
-class EstimateWithCI:
+class Estimate:
+    """A Monte Carlo mean and its standard error."""
+
     mean: float
     std_error: float
-    ci_low: float
-    ci_high: float
-    method: str  # "normal" for means, "wilson" for proportions
-    trials: int
-    confidence: float = DEFAULT_CONFIDENCE
 
 
-def _normal_estimate(values, confidence=DEFAULT_CONFIDENCE) -> EstimateWithCI:
-    n = len(values)
+def _mean_estimate(counts: Counter) -> Estimate:
+    """Mean and standard error of the values of a tally (value -> count)."""
+    n = counts.total()
     if n < 2:
         raise DomainError("need at least 2 trials")
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    se = math.sqrt(var / n)
-    z = _z(confidence)
-    return EstimateWithCI(mean, se, mean - z * se, mean + z * se, "normal", n, confidence)
+    mean = math.fsum(counts.elements()) / n
+    var = math.fsum((v - mean) ** 2 for v in counts.elements()) / (n - 1)
+    return Estimate(mean, math.sqrt(var / n))
 
 
-def wilson_estimate(successes: int, trials: int, confidence=DEFAULT_CONFIDENCE) -> EstimateWithCI:
+def proportion_estimate(successes: int, trials: int) -> Estimate:
     if trials < 1:
         raise DomainError("need at least 1 trial")
     p = successes / trials
-    se = math.sqrt(p * (1 - p) / trials)
-    z = _z(confidence)
-    denom = 1 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    lo = min(p, max(0.0, center - half))
-    hi = max(p, min(1.0, center + half))
-    return EstimateWithCI(p, se, lo, hi, "wilson", trials, confidence)
+    return Estimate(p, math.sqrt(p * (1 - p) / trials))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +183,6 @@ class Census:
     chi_checked: int    # trials cross-checked against the exact Euler DP: all or none
     chi_agreed: int     # equals chi_checked, since a disagreement raises
     elapsed: float
-
-    def frequency(self, ht: HomotopyType) -> float:
-        return self.counts.get(ht.canonical(), 0) / self.trials
 
     def to_json_dict(self) -> dict:
         counts = [
@@ -284,7 +264,7 @@ def run_census(
 # Estimators
 # ---------------------------------------------------------------------------
 
-def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> EstimateWithCI:
+def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> Estimate:
     """Monte Carlo mean of the per-sample exact Euler characteristic.
 
     Deliberately uses the gap DP rather than the classifier, so the two
@@ -292,8 +272,7 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     """
     if trials < 2:
         raise DomainError("trials must be >= 2")
-    counts = _tally(_eulers, n, t, trials, master_seed, workers)
-    return _normal_estimate(list(counts.elements()))
+    return _mean_estimate(_tally(_eulers, n, t, trials, master_seed, workers))
 
 
 def _eulers(counts: np.ndarray) -> list[int]:
@@ -303,20 +282,20 @@ def _eulers(counts: np.ndarray) -> list[int]:
 
 def estimate_betti(
     n: int, t: float, dim: int, trials: int, master_seed: int, workers: int = 1,
-) -> EstimateWithCI:
+) -> Estimate:
     """Monte Carlo mean of the classifier-derived Betti number in one degree,
     read from the census of the same samples."""
     if trials < 2:
         raise DomainError("trials must be >= 2")
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
-    values = []
+    tally: Counter = Counter()
     for ht, count in census.counts.items():
         betti = ht.betti()
-        values += [betti[dim] if dim < len(betti) else 0] * count
-    return _normal_estimate(values)
+        tally[betti[dim] if dim < len(betti) else 0] += count
+    return _mean_estimate(tally)
 
 
-def estimate_B(census: Census, k: int, delta: float) -> EstimateWithCI:
+def estimate_B(census: Census, k: int, delta: float) -> Estimate:
     """Proportion of census trials landing in the aggregated even-wedge event:
     type wedge^a(S^(2k-2)) with delta*n/k <= a+1 <= n/k."""
     if census.trials < 1:
@@ -334,7 +313,7 @@ def estimate_B(census: Census, k: int, delta: float) -> EstimateWithCI:
             continue
         if lo <= ht.a + 1 <= hi:
             hits += count
-    return wilson_estimate(hits, census.trials)
+    return proportion_estimate(hits, census.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +379,7 @@ def verify_theorem_b(
             f"t={t} outside the open interval around nu_{k}={params.nu_k}"
         )
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
-    est = wilson_estimate(census.counts.get(HomotopyType.odd_sphere(k), 0), trials)
+    est = proportion_estimate(census.counts.get(HomotopyType.odd_sphere(k), 0), trials)
     r_prime = params.r_prime(t)
     bound = coverage_probability(n, r_prime)  # Q_n(r'/2) has arc length r'
     passed = est.mean >= bound - 3 * est.std_error

@@ -12,7 +12,7 @@ import numpy as np
 from cechcircle.circle import PointConfig, _eulers_from_counts, window_counts
 from cechcircle.errors import CechCircleError, DomainError
 from cechcircle.homotopy import HomotopyType
-from cechcircle.montecarlo import EstimateWithCI, _tally, wilson_estimate
+from cechcircle.montecarlo import Estimate, _tally, proportion_estimate
 
 
 class SizeError(CechCircleError, ValueError):
@@ -272,10 +272,23 @@ def _covers(counts: np.ndarray, radius: float):
     return (counts.all(-1) | (2 * radius >= 1)).tolist()
 
 
-def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> EstimateWithCI:
+def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> Estimate:
     if trials < 2:
         raise DomainError("trials must be >= 2")
     if radius <= 0:
         raise DomainError("radius must be > 0")
     counts = _tally(partial(_covers, radius=radius), n, radius, trials, master_seed, 1)
-    return wilson_estimate(counts[True], trials)
+    return proportion_estimate(counts[True], trials)
+
+
+# ---------------------------------------------------------------------------
+# Estimates
+# ---------------------------------------------------------------------------
+
+def list_estimate(values: list) -> tuple[float, float]:
+    """Mean and standard error of a list holding one value per trial; the
+    estimators read the tally instead and must give the same floats."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var / n)

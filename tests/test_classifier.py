@@ -3,12 +3,13 @@ agreement with the orbit-walk reference, the homology oracle and the Euler DP.""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cechcircle import HomotopyType, PointConfig, allowed_types, classify
 from cechcircle.circle import window_counts
 from cechcircle.classify import types_from_counts
-from cechcircle.errors import InternalInconsistencyError
+from cechcircle.errors import DomainError, InternalInconsistencyError
 
 from conftest import philox_block, random_config, rational_grid_instance
 from reference import betti_gf2, build_complex, euler_char_exact, n_k_homotopy, uniform_config
@@ -30,7 +31,9 @@ def test_homotopy_type_derived_invariants():
     pts = HomotopyType.wedge_even(3, 0)
     assert pts.betti() == (4,)
     assert HomotopyType.point().display() == "point"
-    assert HomotopyType.wedge_even(0, 5).canonical() == HomotopyType.point()
+    assert HomotopyType.wedge_even(0, 5) == HomotopyType.point()
+    with pytest.raises(DomainError):
+        HomotopyType("even", 5, 0)  # the point has the one representation a = l = 0
 
 
 def test_homotopy_type_json_round_trip():
@@ -92,7 +95,7 @@ def test_classify_evenly_spaced_ground_truth():
         grid += [Fraction(k, 2 * m) for k in range(1, m) if Fraction(k, 2 * m) < Fraction(1, 2)]
         for t in grid:
             k = int(2 * t * m)
-            want = n_k_homotopy(m, min(k, m - 1)).canonical()
+            want = n_k_homotopy(m, min(k, m - 1))
             assert classify(uniform_config(m), t) == want, (m, t)
 
 
@@ -190,7 +193,7 @@ def _reference_winding_type(counts: list[int]) -> HomotopyType:
     wound, steps = winding
     l, r = divmod(wound, steps - wound)
     if r == 0:
-        return HomotopyType.wedge_even(orbits - 1, l).canonical()
+        return HomotopyType.wedge_even(orbits - 1, l)
     return HomotopyType.odd_sphere(l)
 
 

@@ -2,11 +2,14 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cechcircle import cli
+from cechcircle.exact import spike_analysis
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +177,21 @@ def test_spikes_empty_json_is_an_empty_list(capsys):
     assert code == 0
     assert json.loads(out) == []
     assert "warning" in err
+
+
+def test_spikes_stops_at_the_last_m_with_n_above_2m_squared(capsys, monkeypatch):
+    # spike_analysis needs n > 2m^2, so at n = 100 the table ends at m = 7
+    # however large --max-m is, and no m past it is tried
+    want = run_cli(capsys, "spikes", "--n", "100", "--max-m", "7")
+    assert [r["m"] for r in csv.DictReader(io.StringIO(want[1]))] == [str(m) for m in range(2, 8)]
+
+    def checked(m, n, epsilon):
+        if not n > 2 * m * m:
+            pytest.fail(f"spike_analysis tried m={m} at n={n}")
+        return spike_analysis(m, n, epsilon)
+
+    monkeypatch.setattr(cli, "spike_analysis", checked)
+    assert run_cli(capsys, "spikes", "--n", "100", "--max-m", str(10**12)) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -356,10 +374,38 @@ def test_verify_b_pass(capsys):
 
 
 def test_verify_missing_flag_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "a1", "--n", "10",
-                           "--trials", "100", "--seed", "1")
-    assert code == 2
-    assert "--t" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "a1", "--n", "10", "--trials", "100", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--t" in capsys.readouterr().err
+
+
+THEOREM_ARGV = {
+    "a1": ["--n", "5", "--t", "0.2"],
+    "a2": ["--k", "2", "--n", "50"],
+    "b": ["--k", "0", "--n", "50", "--t", "0.125"],
+    "c": ["--k", "2", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("theorem, flag", [
+    ("a1", "--k"), ("a1", "--delta"), ("a1", "--slack"), ("a1", "--margin"),
+    ("a2", "--delta"), ("a2", "--slack"),
+    ("b", "--delta"), ("b", "--slack"), ("b", "--margin"),
+    ("c", "--t"), ("c", "--margin"),
+])
+def test_verify_rejects_a_flag_its_theorem_does_not_read(capsys, monkeypatch, theorem, flag):
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    argv = ["verify", theorem, *THEOREM_ARGV[theorem], "--trials", "10", "--seed", "1",
+            flag, "7" if flag == "--k" else "0.3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 @pytest.mark.parametrize("n", ["3", "4"])
@@ -504,3 +550,16 @@ def test_every_command_runs_without_the_tests_on_the_path(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{[0] * len(commands)} []\n"
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # every `cechcircle ...` line of README's CLI block, verbatim
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cechcircle ")]
+    assert len(commands) >= 8
+    (tmp_path / "points.txt").write_text("0\n0.2\n0.4\n0.6\n0.8\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()

@@ -120,7 +120,8 @@ class SpikeAnalysis:
 def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     """Height bounds and localization window of the m-th Euler spike.
 
-    Requires 2 <= m, m < sqrt(n), n > 2m^2 and epsilon in (0,1).
+    Requires 2 <= m, m < sqrt(n), n > 2m^2 and epsilon in (0,1).  b_mn is
+    inf where it exceeds the float range.
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
@@ -140,7 +141,10 @@ def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
         - (n - 1) * math.log(n - 1)
     )
     a_mn = math.exp(lg_a)
-    b_mn = math.exp(1.0 + (m - 1) * math.log(n) + (n - 1) * math.log(m / (m + 1)))
+    try:
+        b_mn = math.exp(1.0 + (m - 1) * math.log(n) + (n - 1) * math.log(m / (m + 1)))
+    except OverflowError:  # the bound is past the float range
+        b_mn = math.inf
     center_rho = (n - m) / ((n - 1) * m)
     half = epsilon * math.sqrt(m - 1) / n
     window = (center_rho * (1 - half), center_rho * (1 + half))

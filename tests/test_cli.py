@@ -194,6 +194,18 @@ def test_spikes_stops_at_the_last_m_with_n_above_2m_squared(capsys, monkeypatch)
     assert run_cli(capsys, "spikes", "--n", "100", "--max-m", str(10**12)) == want
 
 
+def test_spikes_bound_past_the_float_range_is_inf(capsys):
+    # at n = 20000, e^(1 + (m-1) ln n + (n-1) ln(m/(m+1))) overflows a float
+    # from m = 94 on; every row up to the last m with n > 2m^2 still prints
+    code, out, err = run_cli(capsys, "spikes", "--n", "20000", "--max-m", "100")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["m"] for r in rows] == [str(m) for m in range(2, 100)]
+    assert rows[0]["b_mn"] != "inf" and rows[-1]["b_mn"] == "inf"
+    code, out, _ = run_cli(capsys, "spikes", "--n", "20000", "--max-m", "100", "--format", "json")
+    assert code == 0 and json.loads(out)[-1]["b_mn"] == "inf"
+
+
 @pytest.mark.parametrize("argv", [
     ["spikes", "--n", "-3", "--max-m", "3"],
     ["spikes", "--n", "0", "--max-m", "3"],

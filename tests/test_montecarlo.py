@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import (
     Census, DomainError, HomotopyType, estimate_B, estimate_betti, estimate_chi, expected_euler_char,
@@ -209,6 +209,99 @@ def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
         assert [len(block) for block in blocks] == sizes
         want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
         assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), trials=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       n=st.integers(1, 40))
+@example(seed=2**64 - 1, trials=[2**64 - 1, 0], n=40)
+@example(seed=2**64 - 1, trials=[1], n=1)
+def test_philox_kernel_rows_are_the_trial_streams(seed, trials, n):
+    # n runs past PHILOX_KERNEL_MAX_N, so the kernel is checked where the
+    # engine would not call it too
+    from cechcircle.montecarlo import _philox_rows
+
+    got = _philox_rows(seed, np.array(trials, dtype=np.uint64), n)
+    want = np.array([trial_rng(seed, i).random(n) for i in trials])
+    assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("n, kernel", [(16, True), (17, False)])
+def test_chunk_rows_on_both_sides_of_the_kernel_crossover(monkeypatch, n, kernel):
+    from cechcircle import montecarlo
+
+    assert (n <= montecarlo.PHILOX_KERNEL_MAX_N) == kernel
+    blocks, calls = [], []
+    count, draw = montecarlo.window_counts, montecarlo._philox_rows
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
+    monkeypatch.setattr(montecarlo, "_philox_rows", lambda *args: calls.append(args) or draw(*args))
+    seed, trials = 2**64 - 1, range(250, 800)  # three blocks, the first and last partial
+    montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
+    assert len(blocks) == 3 and len(calls) == (3 if kernel else 0)
+    want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
+    assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
+
+
+# The empty-window count's goodness-of-fit test: its level and seeds were
+# fixed before it was first run.
+EMPTY_WINDOW_ALPHA = 1e-3
+
+
+def _empty_windows(counts: np.ndarray) -> list[int]:
+    """Number of empty windows of each row: its spacings above 2t."""
+    return (counts == 0).sum(axis=1).tolist()
+
+
+def _empty_window_law(n: int, t: float) -> list[Fraction]:
+    """P(exactly j of the n spacings of n uniform points on the circle exceed
+    a = 2t), j = 0..n: C(n,j) sum_(i>=j) (-1)^(i-j) C(n-j,i-j) (1-ia)_+^(n-1)
+    (Stevens 1939)."""
+    a = Fraction(2 * t)
+    return [math.comb(n, j) * sum((-1) ** (i - j) * math.comb(n - j, i - j) * max(1 - i * a, 0) ** (n - 1)
+                                for i in range(j, n + 1))
+            for j in range(n + 1)]
+
+
+def _chi2_tail(x: float, df: int) -> float:
+    """P(X > x) for X chi-squared with df >= 1 degrees of freedom:
+    Q(x; 1) = erfc(sqrt(x/2)), Q(x; 2) = e^(-x/2) and
+    Q(x; k+2) = Q(x; k) + (x/2)^(k/2) e^(-x/2) / Gamma(k/2 + 1)."""
+    q = math.erfc(math.sqrt(x / 2)) if df % 2 else math.exp(-x / 2)
+    for k in range(2 - df % 2, df, 2):
+        q += (x / 2) ** (k / 2) * math.exp(-x / 2) / math.gamma(k / 2 + 1)
+    return q
+
+
+def test_chi2_tail_matches_known_quantiles():
+    # upper 5% and 0.1% points of the chi-squared law, from the standard tables
+    for df, x95, x999 in [(1, 3.841459, 10.827566), (2, 5.991465, 13.815511),
+                          (3, 7.814728, 16.266236), (8, 15.507313, 26.124482)]:
+        assert _chi2_tail(x95, df) == pytest.approx(0.05, rel=1e-5)
+        assert _chi2_tail(x999, df) == pytest.approx(0.001, rel=1e-5)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n, t, seed, kernel", [(5, 0.2, 1939, True), (20, 0.05, 1929, False)])
+def test_empty_window_count_follows_its_exact_law(monkeypatch, n, t, seed, kernel, planted):
+    # the planted defect copies each sorted row's second draw over its first,
+    # so one of the n draws is replaced, and the test must reject it
+    from cechcircle import montecarlo
+
+    assert (n <= montecarlo.PHILOX_KERNEL_MAX_N) == kernel
+    if planted:
+        count = montecarlo.window_counts
+        monkeypatch.setattr(montecarlo, "window_counts",
+                            lambda xs, t: count(np.concatenate([xs[:, 1:2], xs[:, 1:]], axis=1), t))
+    trials = 20_000
+    tally = montecarlo._tally(_empty_windows, n, t, trials, seed, workers=1)
+    law = _empty_window_law(n, t)
+    assert sum(law) == 1
+    while trials * law[-1] < 5:  # pool the upper tail into cells expecting at least 5
+        law[-2:] = [law[-2] + law[-1]]
+    observed = [tally[j] for j in range(len(law) - 1)]
+    observed.append(trials - sum(observed))
+    statistic = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, map(float, law)))
+    assert (_chi2_tail(statistic, len(law) - 1) < EMPTY_WINDOW_ALPHA) == planted
 
 
 def test_outcome_error_names_the_failing_sample(monkeypatch):

@@ -28,7 +28,6 @@ from .montecarlo import (
     estimate_betti,
     estimate_chi,
     run_census,
-    trial_rng,
     verify_theorem_a1,
     verify_theorem_a2,
     verify_theorem_b,

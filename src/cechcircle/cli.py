@@ -1,5 +1,11 @@
 """Command-line surface: chi-curve, spikes, census, classify, verify.
 
+One table, COMMANDS, gives each command (each `verify` theorem is one, as in
+`verify a1`) its one-line summary, handler and flags.  `main` reads the
+command's words, builds one parser with that command's flags alone, parses
+the rest of argv and calls the handler; `build_parser`, which lists the
+commands, is built only for --help and a missing or unknown command.
+
 All numeric output is printed with 17 significant digits so runs are
 reproducible across platforms.  `classify` reads its point file and --t as
 exact decimals, so ties are decided exactly; the Monte Carlo commands take
@@ -32,12 +38,6 @@ from .montecarlo import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-THEOREMS = {
-    "a1": "E[chi] against the closed form",
-    "a2": "Betti sandwich",
-    "b": "odd-sphere plateau",
-    "c": "even-wedge spike window",
-}
 
 
 def _fmt(x) -> str:
@@ -92,77 +92,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cechcircle",
-        description="Random Cech complexes on the circle: exact curves, "
-        "homotopy classification, seeded Monte Carlo censuses.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chi-curve", help="expected Euler characteristic on a t grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-min", type=_finite_float, required=True)
-    p.add_argument("--t-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output")
-
-    p = sub.add_parser("spikes", help="spike analytics for m = 2..M")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--epsilon", type=_finite_float, default=0.1)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output")
-
-    p = sub.add_parser("census", help="seeded homotopy-type census")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=_finite_float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-cross-check", action="store_true",
-                   help="skip the per-trial Euler characteristic cross-check")
-    p.add_argument("--output")
-
-    p = sub.add_parser("classify", help="homotopy type of a point file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t", type=parse_decimal, required=True)
-    p.add_argument("--output")
-
-    p = sub.add_parser("verify", help="statistical theorem verification")
-    p.add_argument("theorem", choices=THEOREMS,
-                   help="; ".join(f"{name}: {what}" for name, what in THEOREMS.items()))
-    p.add_argument("flags", nargs=argparse.REMAINDER,
-                   help="the theorem's flags; see `cechcircle verify THEOREM --help`")
-    return parser
-
-
-def theorem_parser(theorem: str) -> argparse.ArgumentParser:
-    """The flags of one `verify` theorem, and no others.  Only the theorem
-    that runs gets a parser: the four as nested subparsers of `build_parser`
-    made every command's parser half as dear again to build (0.63 to
-    0.91 ms on a 2-core Xeon VM)."""
-    q = argparse.ArgumentParser(prog=f"cechcircle verify {theorem}", description=THEOREMS[theorem])
-    q.add_argument("--n", type=int, required=True)
-    if theorem != "a1":
-        q.add_argument("--k", type=int, required=True)
-    if theorem != "c":
-        q.add_argument("--t", type=_finite_float, required=theorem != "a2")
-    if theorem == "a2":
-        q.add_argument("--margin", type=_finite_float, default=0.05)
-    if theorem == "c":
-        q.add_argument("--delta", type=_finite_float)
-        q.add_argument("--slack", type=_finite_float, default=0.1)
-    q.add_argument("--trials", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the trials "
-                   "(default: CECHCIRCLE_THREADS, else 1); results do not depend on it")
-    q.add_argument("--output")
-    return q
 
 
 def cmd_chi_curve(args) -> int:
@@ -235,40 +164,82 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    theorem_parser(args.theorem).parse_args(args.flags, namespace=args)
-    workers = _workers(args)
-    if args.theorem == "a1":
-        report = verify_theorem_a1(args.n, args.t, args.trials, args.seed, workers)
-    elif args.theorem == "a2":
-        report = verify_theorem_a2(
-            args.k, args.n, args.trials, args.seed, t=args.t, margin=args.margin,
-            workers=workers,
-        )
-    elif args.theorem == "b":
-        report = verify_theorem_b(args.k, args.n, args.t, args.trials, args.seed, workers)
-    else:
-        report = verify_theorem_elder_c(
-            args.k, args.n, args.trials, args.seed,
-            delta=args.delta, slack=args.slack, workers=workers,
-        )
-    _emit(report.to_json() + "\n", args.output)
+
+
+def _report(report, output: str | None) -> int:
+    """Write a `verify` report; PASS exits 0, FAIL 1."""
+    _emit(report.to_json() + "\n", output)
     print("PASS" if report.passed else "FAIL", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_RUNTIME
 
 
+INT = {"type": int, "required": True}
+FLOAT = {"type": _finite_float, "required": True}
+FORMAT = {"--format": {"choices": ["csv", "json"], "default": "csv"}}
+TRIALS = {"--trials": INT, "--seed": INT, "--threads": {
+    "type": int, "help": "worker processes for the trials "
+    "(default: CECHCIRCLE_THREADS, else 1); results do not depend on it"}}
+
+# command -> (summary, handler, flags); every command also takes --output.
+# Handlers look up run_census and verify_theorem_* when they run.
+COMMANDS = {
+    "chi-curve": ("expected Euler characteristic on a t grid", cmd_chi_curve, {
+        "--n": INT, "--t-min": FLOAT, "--t-max": FLOAT, "--steps": INT, **FORMAT}),
+    "spikes": ("spike analytics for m = 2..M", cmd_spikes, {
+        "--n": INT, "--max-m": INT, "--epsilon": {"type": _finite_float, "default": 0.1}, **FORMAT}),
+    "census": ("seeded homotopy-type census", cmd_census, {
+        "--n": INT, "--t": FLOAT, **TRIALS, "--no-cross-check": {
+            "action": "store_true", "help": "skip the per-trial Euler characteristic cross-check"}}),
+    "classify": ("homotopy type of a point file", cmd_classify, {
+        "--input": {"required": True}, "--t": {"type": parse_decimal, "required": True}}),
+    "verify a1": ("E[chi] against the closed form", lambda a: _report(
+        verify_theorem_a1(a.n, a.t, a.trials, a.seed, _workers(a)), a.output), {
+        "--n": INT, "--t": FLOAT, **TRIALS}),
+    "verify a2": ("Betti sandwich", lambda a: _report(verify_theorem_a2(
+        a.k, a.n, a.trials, a.seed, t=a.t, margin=a.margin, workers=_workers(a)), a.output), {
+        "--k": INT, "--n": INT, "--t": {"type": _finite_float},
+        "--margin": {"type": _finite_float, "default": 0.05}, **TRIALS}),
+    "verify b": ("odd-sphere plateau", lambda a: _report(verify_theorem_b(
+        a.k, a.n, a.t, a.trials, a.seed, _workers(a)), a.output), {
+        "--k": INT, "--n": INT, "--t": FLOAT, **TRIALS}),
+    "verify c": ("even-wedge spike window", lambda a: _report(verify_theorem_elder_c(
+        a.k, a.n, a.trials, a.seed, delta=a.delta, slack=a.slack, workers=_workers(a)), a.output), {
+        "--k": INT, "--n": INT, "--delta": {"type": _finite_float},
+        "--slack": {"type": _finite_float, "default": 0.1}, **TRIALS}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of `cechcircle` itself: its --help lists the commands.
+    `main` builds it only when argv names no known command."""
+    parser = argparse.ArgumentParser(
+        prog="cechcircle",
+        usage="cechcircle [-h] COMMAND [flags]",
+        description="Random Cech complexes on the circle: exact curves, "
+        "homotopy classification,\nseeded Monte Carlo censuses.",
+        epilog="commands:\n" + "".join(f"  {name:<11} {entry[0]}\n" for name, entry in COMMANDS.items())
+        + "\n`cechcircle COMMAND --help` lists the flags of one command.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", nargs="+", metavar="COMMAND", help="one of the commands below")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "chi-curve": cmd_chi_curve,
-        "spikes": cmd_spikes,
-        "census": cmd_census,
-        "classify": cmd_classify,
-        "verify": cmd_verify,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = 2 if argv[:1] == ["verify"] else 1
+    name = " ".join(argv[:words])
+    if name not in COMMANDS:
+        parser = build_parser()
+        parser.parse_args(argv[:words])  # exits: 0 on --help, 2 without a command
+        parser.error(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    summary, handler, flags = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"cechcircle {name}", description=summary)
+    for flag, spec in {**flags, "--output": {}}.items():
+        parser.add_argument(flag, **spec)
+    args = parser.parse_args(argv[words:])
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -73,16 +73,6 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _LOW32, _32, _11 = np.uint64(2**32 - 1), np.uint64(32), np.uint64(11)
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial; counter-based, order-free.
-
-    master_seed and trial are the two 64-bit words of the Philox key, so each
-    must lie in [0, 2^64); `_tally` checks the seed before any trial runs.
-    """
-    key = np.array([master_seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products m * x, from 32-bit limbs."""
     m_hi, m_lo = m >> _32, m & _LOW32
@@ -92,7 +82,8 @@ def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
 
 
 def _philox_rows(master_seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
-    """Row j is `trial_rng(master_seed, trial_indices[j]).random(n)`, bit for bit.
+    """Row j is the first n draws of numpy's Philox keyed [master_seed,
+    trial_indices[j]], bit for bit (`trial_rng` in tests/reference.py).
 
     numpy's Philox bumps its counter before each block of four words, so a
     fresh stream's first n draws are the blocks at counters 1..ceil(n/4) under
@@ -163,7 +154,8 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
 def _tally_chunk(outcome, n: int, t, master_seed: int, trials: range) -> Counter:
     """`_tally` over one contiguous range of trials, a block of rows at a time.
 
-    Row i holds exactly the first n draws of `trial_rng(master_seed, i)`.
+    Row i holds exactly the first n draws of numpy's Philox keyed
+    [master_seed, i] (`trial_rng` in tests/reference.py).
     A block holds about BLOCK_POSITIONS positions.  With n at most
     PHILOX_KERNEL_MAX_N, `_philox_rows` draws the whole block at once.
     Otherwise one Philox generator serves the chunk and is reset before
@@ -389,6 +381,8 @@ class VerifyReport:
 
 def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> VerifyReport:
     """Empirical chi-bar against the closed form, at 3 standard errors."""
+    if t <= 0:  # here, before the trials, not by the closed form after them
+        raise DomainError("t must be > 0")
     est = estimate_chi(n, t, trials, master_seed, workers)
     exact = expected_euler_char(n, t)
     delta = abs(est.mean - exact)
@@ -409,6 +403,8 @@ def verify_theorem_a2(
         raise DomainError("k must be >= 2")
     if n < 2:
         raise DomainError("n must be >= 2")
+    if margin < 0:
+        raise DomainError(f"margin must be >= 0, got {margin}")
     if t is None:
         if not n > k:
             raise DomainError(f"verify a2 needs n > k without --t, so that its default "
@@ -457,6 +453,8 @@ def verify_theorem_elder_c(
     exceeds 1/2, so the value consistent with the B_{k,delta} window is used.
     That t lies in k's band, floor(1 / (1 - 2t)) = k, iff n > k^2.
     """
+    if slack < 0:
+        raise DomainError(f"slack must be >= 0, got {slack}")
     if delta is None:
         delta = k * omega(k) / 2
     beta_lower, beta_upper = elder_c_bounds(k, delta)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from cechcircle import PointConfig, trial_rng
+from cechcircle import PointConfig
+from reference import trial_rng
 
 
 def random_config(rng: np.random.Generator, n: int) -> PointConfig:

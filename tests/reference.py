@@ -19,6 +19,17 @@ class SizeError(CechCircleError, ValueError):
     """An instance exceeds a hard size guard (oracle-only code paths)."""
 
 
+def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """Independent stream for one trial; counter-based, order-free.  The trial
+    engine draws row i of a census from exactly this stream, bit for bit.
+
+    master_seed and trial are the two 64-bit words of the Philox key, so each
+    must lie in [0, 2^64); `_tally` checks the seed before any trial runs.
+    """
+    key = np.array([master_seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 # ---------------------------------------------------------------------------
 # GF(2) homology oracle
 # ---------------------------------------------------------------------------

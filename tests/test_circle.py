@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import DomainError, PointConfig, PointFileError, expected_euler_char, load_point_file
 from cechcircle.circle import _eulers_from_counts, parse_decimal, window_counts
-from cechcircle.montecarlo import estimate_chi, trial_rng
+from cechcircle.montecarlo import estimate_chi
 
 from conftest import philox_block, random_config, rational_grid_instance
 from reference import (
     SimplicialComplex, SizeError, _covers, betti_gf2, build_complex, estimate_coverage,
-    euler_char_exact, is_simplex, uniform_config,
+    euler_char_exact, is_simplex, trial_rng, uniform_config,
 )
 
 

@@ -575,3 +575,87 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         assert cli.main(argv) == 0, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("t", ["0", "-0.3"])
+def test_verify_a1_nonpositive_t_usage_error(capsys, monkeypatch, t):
+    # rejected before any trial, as census rejects it
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", "a1", "--n", "5", "--t", t,
+                             "--trials", "2000000", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: t must be > 0\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "a2", "--k", "2", "--n", "50", "--margin", "-1"], "margin"),
+    (["verify", "c", "--k", "2", "--n", "100", "--slack", "-2"], "slack"),
+])
+def test_verify_negative_margin_or_slack_usage_error(capsys, monkeypatch, argv, flag):
+    # a window that can hold nothing is a usage error, not a FAIL
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, *argv, "--trials", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= 0")
+
+
+# ---------------------------------------------------------------------------
+# parsers
+# ---------------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "chi-curve": "--n --t-min --t-max --steps --format --output",
+    "spikes": "--n --max-m --epsilon --format --output",
+    "census": "--n --t --trials --seed --threads --no-cross-check --output",
+    "classify": "--input --t --output",
+    "verify a1": "--n --t --trials --seed --threads --output",
+    "verify a2": "--k --n --t --margin --trials --seed --threads --output",
+    "verify b": "--k --n --t --trials --seed --threads --output",
+    "verify c": "--k --n --delta --slack --trials --seed --threads --output",
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for name in COMMAND_FLAGS:
+        assert f"\n  {name} " in out
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_help_lists_exactly_its_flags(capsys, command):
+    import re
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: cechcircle {command} ")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *COMMAND_FLAGS[command].split()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1"],
+    ["verify", "a1", "--n", "10", "--t", "0.2", "--trials", "500", "--seed", "3"],
+])
+def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch, argv):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1, built

@@ -12,9 +12,9 @@ from cechcircle import (
     Census, DomainError, HomotopyType, estimate_B, estimate_betti, estimate_chi, expected_euler_char,
     omega, run_census, verify_theorem_a1, verify_theorem_a2, verify_theorem_b, verify_theorem_elder_c,
 )
-from cechcircle.montecarlo import GENERATOR_ID, Estimate, _mean_estimate, trial_rng
+from cechcircle.montecarlo import GENERATOR_ID, Estimate, _mean_estimate
 
-from reference import estimate_coverage, list_estimate
+from reference import estimate_coverage, list_estimate, trial_rng
 
 
 def _census_key_dict(census):

@@ -13,31 +13,49 @@ Peterson and Previte-Johnson, "Nerve complexes of circular arcs", DCG 2016):
 f rotates S by s places, so each of the P = gcd(|S|, s) periodic orbits
 winds w = s/|S| times per step.  `types_from_counts` decides a whole block
 of count rows at once and gives its distinct types and each row's index.
-`classify` counts one configuration and validates the answer against the
-realizability constraint set; a violation is an internal error.  A census
-checks each distinct type against that set once.
+`_classified`, the one guard step, checks each type of a block against the
+realizability constraint set and, on request, its Euler characteristic
+against the gap DP's; a failure is an internal error.  The census runs every
+block of samples through it, `classify` its one row with the cross-check.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circle import PointConfig, window_counts
-from .errors import DomainError, InternalInconsistencyError
-from .exact import allowed_types
+from .circle import PointConfig, _eulers_from_counts, window_counts
+from .errors import InternalInconsistencyError
+from .exact import AllowedTypes, allowed_types
 from .homotopy import HomotopyType
 
 
 def classify(config: PointConfig, t) -> HomotopyType:
-    """Exact homotopy type of Cech(config, t)."""
-    if t <= 0:
-        raise DomainError("t must be > 0")
+    """Exact homotopy type of Cech(config, t), through the guard step."""
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    (ht,), _ = types_from_counts(window_counts([config.positions], t))
-    if not allowed_types(config.n, t).allows(ht):
-        raise InternalInconsistencyError(
-            f"classified type {ht.display()} violates the constraint set for n={config.n}, t={t}")
+    allowed = allowed_types(config.n, t)  # rejects t <= 0
+    try:
+        (ht,) = _classified(window_counts([config.positions], t), allowed, cross_check=True)
+    except InternalInconsistencyError as exc:
+        raise InternalInconsistencyError(f"{exc.args[0]} at t={float(t)}") from None
     return ht
+
+
+def _classified(counts: np.ndarray, allowed: AllowedTypes, cross_check: bool) -> dict[HomotopyType, int]:
+    """The homotopy types of a `(rows, n)` block of window count rows, each
+    with its number of rows.  The first row whose type `allowed` rejects or,
+    with `cross_check`, whose Euler characteristic is not the gap DP's raises
+    InternalInconsistencyError(message, row)."""
+    types, index = types_from_counts(counts)
+    outside = ~np.array([allowed.allows(ht) for ht in types])[index]
+    wrong = outside.copy()
+    if cross_check:
+        wrong |= np.array([ht.euler_characteristic() for ht in types])[index] != _eulers_from_counts(counts)
+    if wrong.any():
+        ht, row = types[index[wrong.argmax()]], int(wrong.argmax())
+        raise InternalInconsistencyError(
+            f"classified type {ht.display()} outside the constraint set for n={allowed.n}"
+            if outside[row] else f"Euler cross-check failed for {ht.display()}", row)
+    return dict(zip(types, np.bincount(index).tolist()))
 
 
 def types_from_counts(counts: np.ndarray) -> tuple[list[HomotopyType], np.ndarray]:

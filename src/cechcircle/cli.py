@@ -143,10 +143,7 @@ def cmd_spikes(args) -> int:
 
 def cmd_census(args) -> int:
     workers = _workers(args)
-    census = run_census(
-        args.n, args.t, args.trials, args.seed,
-        workers=workers, cross_check=not args.no_cross_check,
-    )
+    census = run_census(args.n, args.t, args.trials, args.seed, workers=workers)
     _emit(census.to_json() + "\n", args.output)
     return EXIT_OK
 
@@ -188,8 +185,7 @@ COMMANDS = {
     "spikes": ("spike analytics for m = 2..M", cmd_spikes, {
         "--n": INT, "--max-m": INT, "--epsilon": {"type": _finite_float, "default": 0.1}, **FORMAT}),
     "census": ("seeded homotopy-type census", cmd_census, {
-        "--n": INT, "--t": FLOAT, **TRIALS, "--no-cross-check": {
-            "action": "store_true", "help": "skip the per-trial Euler characteristic cross-check"}}),
+        "--n": INT, "--t": FLOAT, **TRIALS}),
     "classify": ("homotopy type of a point file", cmd_classify, {
         "--input": {"required": True}, "--t": {"type": parse_decimal, "required": True}}),
     "verify a1": ("E[chi] against the closed form", lambda a: _report(

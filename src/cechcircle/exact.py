@@ -8,12 +8,13 @@ Conventions used throughout:
   explicitly labelled as rho-coordinates.
 * ``0**0 == 1`` everywhere.
 * Expected Euler characteristics are evaluated through the all-nonnegative
-  sum (log-gamma term computation); the alternating coverage sum uses
-  compensated summation.  Exact rational forms of both live with the test
-  references (tests/reference.py) as ground truth.
+  sum (log-gamma term computation); the alternating coverage sum in 60-digit
+  decimals.  Exact rational forms of both live with the test references
+  (tests/reference.py) as ground truth.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,11 @@ def _log_comb(n: int, k: int) -> float:
 def coverage_probability(k: int, arc_length) -> float:
     """Probability that k i.i.d. uniform arcs of the given length cover the circle.
 
-    Returns the raw analytic value of the alternating sum
-    sum_l (-1)^l C(k,l) (1 - l*a)^(k-1); callers clamp to [0,1] themselves.
+    Stevens' sum sum_{l*a < 1} (-1)^l C(k,l) (1 - l*a)^(k-1) at the float a.
+    The k spacings of the starts are negatively associated (Joag-Dev and
+    Proschan, Ann. Statist. 1983), so it is at most exp(-S), S = k (1-a)^(k-1):
+    0 beyond S = 40.  Below, the terms stay under e^S < 10^18 but may cancel;
+    60 decimal digits sum them to within 1e-17 for k up to 10^20, in [0, 1].
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -43,16 +47,18 @@ def coverage_probability(k: int, arc_length) -> float:
     a = float(arc_length)
     if a >= 1.0:
         return 1.0
-    terms = []
-    l = 0
-    while l <= k and l * a <= 1.0:
-        base = 1.0 - l * a
-        if base < 0.0:
-            base = 0.0
-        term = math.comb(k, l) * base ** (k - 1)
-        terms.append(term if l % 2 == 0 else -term)
-        l += 1
-    return math.fsum(terms)
+    if math.log(k) + (k - 1) * math.log1p(-a) > math.log(40):
+        return 0.0
+    num, den = a.as_integer_ratio()
+    with decimal.localcontext(decimal.Context(prec=60)):
+        total, comb = decimal.Decimal(0), decimal.Decimal(1)  # comb = C(k, l)
+        for l in range(min(k, (den - 1) // num) + 1):  # l * a < 1; at l * a == 1 a term is 0
+            term = comb * (decimal.Decimal(den - l * num) / den) ** (k - 1)
+            total += -term if l % 2 else term
+            if term < decimal.Decimal("1e-60"):
+                break  # the terms' logs are concave in l, from 0: every later term is smaller
+            comb = comb * (k - l) / (l + 1)
+    return max(0.0, float(total))  # a sum of 0 can come out as -1e-42
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 import csv
+import importlib
 import io
 import json
 import shlex
@@ -272,9 +273,8 @@ def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
 
 
 def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
-    from cechcircle import montecarlo
-
-    monkeypatch.setattr(montecarlo, "_eulers_from_counts", lambda c: np.full(len(c), -1))
+    guard = importlib.import_module("cechcircle.classify")
+    monkeypatch.setattr(guard, "_eulers_from_counts", lambda c: np.full(len(c), -1))
     code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
                              "--trials", "3", "--seed", "1", "--threads", "1")
     assert code == 1
@@ -333,6 +333,17 @@ def test_classify_decides_decimal_ties_exactly(capsys, tmp_path):
         assert json.loads(out)["display"] == want
 
 
+def test_classify_cross_checks_the_euler_dp(capsys, monkeypatch, tmp_path):
+    # a point file goes through the census's guard step, Euler DP included
+    guard = importlib.import_module("cechcircle.classify")
+    monkeypatch.setattr(guard, "_eulers_from_counts", lambda c: np.full(len(c), -1))
+    path = _write_points(tmp_path, ["0", "0.2", "0.4", "0.6", "0.8"])
+    code, out, err = run_cli(capsys, "classify", "--input", path, "--t", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: Euler cross-check failed for S^1")
+    assert err.endswith(" t=0.1\n")
+
+
 def test_classify_non_finite_t_usage_error(capsys, tmp_path):
     path = _write_points(tmp_path, [0, 0.5])
     for t in ("nan", "inf"):
@@ -383,6 +394,14 @@ def test_verify_b_pass(capsys):
                            "--t", "0.125", "--trials", "100", "--seed", "3")
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+def test_verify_b_bound_past_float_cancellation(capsys):
+    # t = nu_10, so r' = tau_10: float Stevens terms reach 10^29 and cancel to 0
+    code, out, err = run_cli(capsys, "verify", "b", "--k", "10", "--n", "200",
+                             "--t", "0.4564393939393939", "--trials", "50", "--seed", "1")
+    assert (code, err) == (0, "PASS\n")
+    assert json.loads(out)["bound"] == 0.0
 
 
 def test_verify_missing_flag_usage_error(capsys):
@@ -610,7 +629,7 @@ def test_verify_negative_margin_or_slack_usage_error(capsys, monkeypatch, argv, 
 COMMAND_FLAGS = {
     "chi-curve": "--n --t-min --t-max --steps --format --output",
     "spikes": "--n --max-m --epsilon --format --output",
-    "census": "--n --t --trials --seed --threads --no-cross-check --output",
+    "census": "--n --t --trials --seed --threads --output",
     "classify": "--input --t --output",
     "verify a1": "--n --t --trials --seed --threads --output",
     "verify a2": "--k --n --t --margin --trials --seed --threads --output",

@@ -85,6 +85,21 @@ def test_coverage_raw_values_near_unit_interval():
         assert -1e-9 <= q <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("k", [200, 400, 1000])
+def test_coverage_survives_cancellation(k):
+    # arcs of length tau_10 at t = nu_10: float terms reach 10^29 and beyond
+    a = theorem_b_params(10).tau_k
+    q = coverage_probability(k, a)
+    assert 0 <= q <= 1
+    assert abs(q - coverage_probability_exact(k, a)) < 1e-12
+
+
+def test_coverage_pinned_and_near_certain():
+    assert coverage_probability(200, 0.125) == 0.9999999994237213  # the pinned verify b bound
+    assert abs(coverage_probability(10**5, 0.12) - 1) < 1e-12
+    assert coverage_probability(10**30, 1e-17) == 1.0  # k a = 10^13: no spacing can exceed a
+
+
 # ---------------------------------------------------------------------------
 # Expected Euler characteristic
 # ---------------------------------------------------------------------------

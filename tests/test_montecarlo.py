@@ -1,5 +1,6 @@
 """Seeded censuses, estimators (a mean and its standard error, read from the
 tally), and the statistical verification harness."""
+import importlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -59,12 +60,27 @@ def test_census_constraint_keys_k2():
 
 
 def test_census_cross_check_raises_at_the_disagreeing_sample(monkeypatch):
-    from cechcircle import InternalInconsistencyError, montecarlo
+    from cechcircle import InternalInconsistencyError
 
-    monkeypatch.setattr(montecarlo, "_eulers_from_counts", lambda c: np.full(len(c), -1))
+    guard = importlib.import_module("cechcircle.classify")
+    monkeypatch.setattr(guard, "_eulers_from_counts", lambda c: np.full(len(c), -1))
     with pytest.raises(InternalInconsistencyError, match=r"t=0\.2, positions \(0\."):
         run_census(6, 0.2, 5, master_seed=1)
     assert run_census(6, 0.2, 5, master_seed=1, cross_check=False).chi_checked == 0
+
+
+def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
+    from cechcircle import AllowedTypes, InternalInconsistencyError, montecarlo
+
+    allows = AllowedTypes.allows
+    monkeypatch.setattr(AllowedTypes, "allows",
+                        lambda self, ht: allows(self, ht) and not (ht.kind == "even" and ht.l == 1 and ht.a >= 3))
+    rows = []
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
+    with pytest.raises(InternalInconsistencyError, match=r"outside the constraint set .* at t=0\.26, positions \("):
+        run_census(30, 0.26, 400, 11)
+    assert rows == [4096 // 30]  # the first block of 136 samples, not all 400
 
 
 def _in_process_pool(started):
@@ -146,8 +162,9 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
 
     from cechcircle import InternalInconsistencyError, montecarlo
 
-    euler = montecarlo._eulers_from_counts
-    monkeypatch.setattr(montecarlo, "_eulers_from_counts",  # wrong first at trial 18, then at 6 more
+    guard = importlib.import_module("cechcircle.classify")
+    euler = guard._eulers_from_counts
+    monkeypatch.setattr(guard, "_eulers_from_counts",  # wrong first at trial 18, then at 6 more
                         lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -305,10 +322,11 @@ def test_empty_window_count_follows_its_exact_law(monkeypatch, n, t, seed, kerne
 
 
 def test_outcome_error_names_the_failing_sample(monkeypatch):
-    from cechcircle import InternalInconsistencyError, montecarlo
+    from cechcircle import InternalInconsistencyError
 
-    euler = montecarlo._eulers_from_counts
-    monkeypatch.setattr(montecarlo, "_eulers_from_counts",  # wrong first at trial 18
+    guard = importlib.import_module("cechcircle.classify")
+    euler = guard._eulers_from_counts
+    monkeypatch.setattr(guard, "_eulers_from_counts",  # wrong first at trial 18
                         lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     with pytest.raises(InternalInconsistencyError) as err:
         run_census(6, 0.2, 60, master_seed=1)
@@ -318,9 +336,9 @@ def test_outcome_error_names_the_failing_sample(monkeypatch):
 
 def test_duplicate_position_is_one_more_vertex():
     # the multiset's complex has the type, chi and coverage of the set
-    from cechcircle import PointConfig, classify
+    from cechcircle import PointConfig, allowed_types, classify
     from cechcircle.circle import _eulers_from_counts, window_counts
-    from cechcircle.montecarlo import _classified
+    from cechcircle.classify import _classified
     from reference import _covers, betti_gf2, build_complex
 
     rng = np.random.default_rng(61)
@@ -331,7 +349,7 @@ def test_duplicate_position_is_one_more_vertex():
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
         unique = PointConfig.from_points(xs)
         counts, unique_counts = window_counts([xs], t), window_counts([unique.positions], t)
-        ht, = _classified(counts, True)
+        ht, = _classified(counts, allowed_types(len(xs), t), True)
         assert ht == classify(unique, t)
         assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
         assert _eulers_from_counts(counts).tolist() == _eulers_from_counts(unique_counts).tolist()

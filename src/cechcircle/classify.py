@@ -23,16 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 from .circle import PointConfig, _eulers_from_counts, window_counts
-from .errors import InternalInconsistencyError
+from .errors import DomainError, InternalInconsistencyError
 from .exact import AllowedTypes, allowed_types
 from .homotopy import HomotopyType
 
 
 def classify(config: PointConfig, t) -> HomotopyType:
-    """Exact homotopy type of Cech(config, t), through the guard step."""
+    """Exact homotopy type of Cech(config, t) for t > 0, through the guard step."""
+    if t <= 0:
+        raise DomainError("t must be > 0")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
-    allowed = allowed_types(config.n, t)  # rejects t <= 0
+    allowed = allowed_types(config.n, t)
     try:
         (ht,) = _classified(window_counts([config.positions], t), allowed, cross_check=True)
     except InternalInconsistencyError as exc:

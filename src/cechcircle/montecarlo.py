@@ -5,18 +5,20 @@ Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
 draws n uniform points from an independent Philox stream keyed by
 (master_seed, i), sorts them and counts their windows, and the engine
 returns the multiset of per-sample outcomes.  The engine works a chunk of
-trials at a time, a block of about BLOCK_POSITIONS positions at a time.  For
-n up to PHILOX_KERNEL_MAX_N, `_philox_rows` runs Philox4x64-10 in numpy
-integer arithmetic on every row of the block at once; for larger n, where
-that costs more than it saves, one Philox generator per chunk is reset to
-each trial's key.  Both give each row exactly its trial's stream.  The rows
-are sorted together and counted by one batched, exact `window_counts` call,
-so memory does not grow with the number of trials.  An outcome reads the
-whole block of count rows and gives each row's result, computed per block:
-the census runs it through the guard step `classify._classified` and counts
-each distinct type once, and the chi estimator runs the DP.  A repeated
-position is one more vertex; nothing dedups it.  Results are therefore
-bit-identical regardless of execution order, block size or worker count.
+trials at a time, a block of about BLOCK_POSITIONS (16 384) positions at a
+time, large enough that each numpy call costs more in work than in call
+overhead.  For n up to PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs
+Philox4x64-10 in numpy integer arithmetic on every row of the block at once;
+for larger n, where that costs more than it saves, one Philox generator per
+chunk is reset to each trial's key.  Both give each row exactly its trial's
+stream.  The rows are sorted together and counted by one batched, exact
+`window_counts` call, so memory does not grow with the number of trials.
+An outcome reads the whole block of count rows and gives each row's result,
+computed per block: the census runs it through the guard step
+`classify._classified` and counts each distinct type once, and the chi
+estimator runs the DP.  A repeated position is one more vertex; nothing
+dedups it.  Results are therefore bit-identical regardless of execution
+order, block size or worker count.
 An estimate is a mean and its standard error, read from the tally of values
 (value -> number of trials) without a list per trial.
 """
@@ -54,14 +56,27 @@ GENERATOR_ID = "numpy-philox4x64"
 # absolute wait keeps one stalled early chunk from starting a pool.
 POOL_AFTER_S = 0.1
 # A block of trials holds about this many positions (rows = max(1, BLOCK_POSITIONS // n)).
-BLOCK_POSITIONS = 4096
-# Blocks of n <= PHILOX_KERNEL_MAX_N (at least 256 rows) are drawn by
+# Every stage makes a fixed number of numpy calls per block, and a uint64
+# ufunc costs about 2 µs on 1 600 elements and 6-7 µs on 13 000, so small
+# blocks pay more in call overhead than in work.  Serial `_tally_chunk` at
+# cross-checked census outcomes on a 2-core Xeon VM at numpy 2.4, median of
+# 5 alternating repeats, µs a trial, 4 096 -> 16 384 positions: 3.02 -> 2.13
+# at n = 5, 8.50 -> 5.53 at n = 16, 16.3 -> 15.2 at n = 40, 32.5 -> 29.0 at
+# n = 100, 110 -> 103 at n = 400, 264 -> 244 at n = 1 000, 1 017 -> 971 at
+# n = 4 000.  Blocks of 8 192, 32 768 and 65 536 positions were slower at
+# every n >= 40 and at most 8% faster below.  The one loss seen: a 20-trial
+# `verify a1` at n = 400, now one block of 20 rows, runs about 4% slower, as
+# glibc hands the block's freed heap back and the next call page-faults it in.
+BLOCK_POSITIONS = 16384
+# Blocks of n <= PHILOX_KERNEL_MAX_N (at least 512 rows) are drawn by
 # `_philox_rows`, all rows at once; larger n reset a generator per row.  The
 # kernel's cost is about fixed per block, so per row it grows with n, while
-# the loop's stays near 4.5 µs.  On a 2-core Xeon VM at numpy 2.4, µs per
-# row, kernel against loop: 1.3 / 4.4 at n = 5, 3.4 / 4.8 at n = 16,
-# 4.1 / 4.8 at n = 20 and 5.0 / 4.8 at n = 24.
-PHILOX_KERNEL_MAX_N = 16
+# the loop's stays near 2.5-4.5 µs, by the machine's load.  In blocks of
+# 16 384 positions on the same VM, medians of 61 paired runs in a slow and a
+# fast phase, µs per row, kernel against loop: 2.88 / 4.48 and 2.11 / 2.50
+# at n = 32, 3.42 / 4.51 and 2.63 / 2.62 at n = 40, 4.28 / 4.82 and
+# 3.16 / 2.76 at n = 48.  The kernel wins at n <= 32 in both.
+PHILOX_KERNEL_MAX_N = 32
 
 # Philox4x64-10 (Salmon et al., SC 2011) as numpy's Philox runs it: round
 # multipliers and Weyl key increments, then the 32-bit limb mask and shift

@@ -344,6 +344,16 @@ def test_classify_cross_checks_the_euler_dp(capsys, monkeypatch, tmp_path):
     assert err.endswith(" t=0.1\n")
 
 
+def test_classify_takes_every_positive_t(capsys, tmp_path):
+    # t >= 1/2 gives the point; t <= 0 is a usage error that names t > 0
+    path = _write_points(tmp_path, [0, 0.5])
+    for t in ("0.5", "0.7"):
+        code, out, _ = run_cli(capsys, "classify", "--input", path, "--t", t)
+        assert (code, json.loads(out)["display"]) == (0, "point")
+    for t in ("0", "-0.3"):
+        assert run_cli(capsys, "classify", "--input", path, "--t", t) == (2, "", "error: t must be > 0\n")
+
+
 def test_classify_non_finite_t_usage_error(capsys, tmp_path):
     path = _write_points(tmp_path, [0, 0.5])
     for t in ("nan", "inf"):

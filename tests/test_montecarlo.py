@@ -13,7 +13,7 @@ from cechcircle import (
     Census, DomainError, HomotopyType, estimate_B, estimate_betti, estimate_chi, expected_euler_char,
     omega, run_census, verify_theorem_a1, verify_theorem_a2, verify_theorem_b, verify_theorem_elder_c,
 )
-from cechcircle.montecarlo import GENERATOR_ID, Estimate, _mean_estimate
+from cechcircle.montecarlo import GENERATOR_ID, PHILOX_KERNEL_MAX_N, Estimate, _mean_estimate
 
 from reference import estimate_coverage, list_estimate, trial_rng
 
@@ -78,6 +78,7 @@ def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
     rows = []
     count = montecarlo.window_counts
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)  # blocks of 136 rows
     with pytest.raises(InternalInconsistencyError, match=r"outside the constraint set .* at t=0\.26, positions \("):
         run_census(30, 0.26, 400, 11)
     assert rows == [4096 // 30]  # the first block of 136 samples, not all 400
@@ -189,7 +190,8 @@ def test_census_counts_each_sample_once(monkeypatch):
 
 
 def test_tally_cuts_chunks_at_block_boundaries(monkeypatch):
-    # 100 trials at n = 100 with 2 workers: blocks of 40 rows, not 25 chunks of 4
+    # 100 trials at n = 100 with 2 workers: in blocks of 4 096 positions, blocks
+    # of 40 rows, not 25 chunks of 4; at the default size, one block of 100
     import concurrent.futures
 
     from cechcircle import montecarlo
@@ -199,10 +201,36 @@ def test_tally_cuts_chunks_at_block_boundaries(monkeypatch):
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: rows.append(len(xs)) or count(xs, t))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
     t = 0.25252525252525254
+    default = run_census(100, t, 100, master_seed=12, workers=2).counts
+    assert rows == [100]
+    rows.clear()
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
     pooled = run_census(100, t, 100, master_seed=12, workers=2).counts
     assert rows == [40, 40, 20]
     assert started == []
-    assert pooled == run_census(100, t, 100, master_seed=12).counts
+    assert pooled == default == run_census(100, t, 100, master_seed=12).counts
+
+
+def test_tally_memory_does_not_grow_with_trials():
+    # a census outcome at n = 5: about 88 bytes a block position at the peak
+    import tracemalloc
+    from functools import partial
+
+    from cechcircle import allowed_types, montecarlo
+    from cechcircle.classify import _classified
+
+    outcome = partial(_classified, allowed=allowed_types(5, 0.2), cross_check=True)
+    montecarlo._tally(outcome, 5, 0.2, 20_000, 3, workers=1)  # warm-up
+    peaks = []
+    for trials in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            montecarlo._tally(outcome, 5, 0.2, trials, 3, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+    assert max(peaks) < 128 * montecarlo.BLOCK_POSITIONS
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
@@ -230,8 +258,8 @@ def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**64 - 1), trials=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-       n=st.integers(1, 40))
-@example(seed=2**64 - 1, trials=[2**64 - 1, 0], n=40)
+       n=st.integers(1, 2 * PHILOX_KERNEL_MAX_N))
+@example(seed=2**64 - 1, trials=[2**64 - 1, 0], n=2 * PHILOX_KERNEL_MAX_N)
 @example(seed=2**64 - 1, trials=[1], n=1)
 def test_philox_kernel_rows_are_the_trial_streams(seed, trials, n):
     # n runs past PHILOX_KERNEL_MAX_N, so the kernel is checked where the
@@ -243,7 +271,7 @@ def test_philox_kernel_rows_are_the_trial_streams(seed, trials, n):
     assert got.tobytes() == want.tobytes()  # bit for bit
 
 
-@pytest.mark.parametrize("n, kernel", [(16, True), (17, False)])
+@pytest.mark.parametrize("n, kernel", [(PHILOX_KERNEL_MAX_N, True), (PHILOX_KERNEL_MAX_N + 1, False)])
 def test_chunk_rows_on_both_sides_of_the_kernel_crossover(monkeypatch, n, kernel):
     from cechcircle import montecarlo
 
@@ -252,7 +280,7 @@ def test_chunk_rows_on_both_sides_of_the_kernel_crossover(monkeypatch, n, kernel
     count, draw = montecarlo.window_counts, montecarlo._philox_rows
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
     monkeypatch.setattr(montecarlo, "_philox_rows", lambda *args: calls.append(args) or draw(*args))
-    seed, trials = 2**64 - 1, range(250, 800)  # three blocks, the first and last partial
+    seed, trials = 2**64 - 1, range(250, 1300)  # three blocks, the last partial
     montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
     assert len(blocks) == 3 and len(calls) == (3 if kernel else 0)
     want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
@@ -297,8 +325,30 @@ def test_chi2_tail_matches_known_quantiles():
         assert _chi2_tail(x999, df) == pytest.approx(0.001, rel=1e-5)
 
 
+# (n, t, seed, kernel): n = 5 and n = 20 are drawn by the Philox kernel, n = 48
+# by the per-row loop; at (48, 0.03) about 2.6 windows of a sample are empty
+EMPTY_WINDOW_CASES = [(5, 0.2, 1939, True), (20, 0.05, 1929, True), (48, 0.03, 1983, False)]
+
+
+def _empty_window_p_value(n: int, t: float, seed: int) -> float:
+    """Chi-squared p-value of the empty-window counts of 20 000 trials
+    through `_tally` against their exact law."""
+    from cechcircle import montecarlo
+
+    trials = 20_000
+    tally = montecarlo._tally(_empty_windows, n, t, trials, seed, workers=1)
+    law = _empty_window_law(n, t)
+    assert sum(law) == 1
+    while trials * law[-1] < 5:  # pool the upper tail into cells expecting at least 5
+        law[-2:] = [law[-2] + law[-1]]
+    observed = [tally[j] for j in range(len(law) - 1)]
+    observed.append(trials - sum(observed))
+    statistic = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, map(float, law)))
+    return _chi2_tail(statistic, len(law) - 1)
+
+
 @pytest.mark.parametrize("planted", [False, True])
-@pytest.mark.parametrize("n, t, seed, kernel", [(5, 0.2, 1939, True), (20, 0.05, 1929, False)])
+@pytest.mark.parametrize("n, t, seed, kernel", EMPTY_WINDOW_CASES)
 def test_empty_window_count_follows_its_exact_law(monkeypatch, n, t, seed, kernel, planted):
     # the planted defect copies each sorted row's second draw over its first,
     # so one of the n draws is replaced, and the test must reject it
@@ -309,16 +359,18 @@ def test_empty_window_count_follows_its_exact_law(monkeypatch, n, t, seed, kerne
         count = montecarlo.window_counts
         monkeypatch.setattr(montecarlo, "window_counts",
                             lambda xs, t: count(np.concatenate([xs[:, 1:2], xs[:, 1:]], axis=1), t))
-    trials = 20_000
-    tally = montecarlo._tally(_empty_windows, n, t, trials, seed, workers=1)
-    law = _empty_window_law(n, t)
-    assert sum(law) == 1
-    while trials * law[-1] < 5:  # pool the upper tail into cells expecting at least 5
-        law[-2:] = [law[-2] + law[-1]]
-    observed = [tally[j] for j in range(len(law) - 1)]
-    observed.append(trials - sum(observed))
-    statistic = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, map(float, law)))
-    assert (_chi2_tail(statistic, len(law) - 1) < EMPTY_WINDOW_ALPHA) == planted
+    assert (_empty_window_p_value(n, t, seed) < EMPTY_WINDOW_ALPHA) == planted
+
+
+@pytest.mark.parametrize("n, t, seed, kernel", EMPTY_WINDOW_CASES)
+def test_empty_window_count_rejects_windows_two_percent_too_wide(monkeypatch, n, t, seed, kernel):
+    # the second planted defect: every window counted at 1.02 t
+    from cechcircle import montecarlo
+
+    assert (n <= montecarlo.PHILOX_KERNEL_MAX_N) == kernel
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: count(xs, 1.02 * t))
+    assert _empty_window_p_value(n, t, seed) < EMPTY_WINDOW_ALPHA
 
 
 def test_outcome_error_names_the_failing_sample(monkeypatch):

@@ -70,6 +70,10 @@ def expected_euler_char(n: int, t) -> float:
 
     With r = 1 - 2t this is sum_{k=1}^{floor(1/r)} C(n,k)(1-kr)^(k-1)(kr)^(n-k);
     all summands are nonnegative.  Returns 1 for t >= 1/2 (full simplex).
+    The log of a summand is concave in k, so the summands rise to one mode
+    and fall away from it: they are summed outward from the mode until the
+    ones left, each at most the last summed on its side, cannot change the
+    correctly rounded `fsum` of all of them.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -79,21 +83,39 @@ def expected_euler_char(n: int, t) -> float:
     if t >= 0.5:
         return 1.0
     r = 1.0 - 2.0 * t
-    terms = []
-    for k in range(1, n + 1):
-        kr = k * r
-        if kr > 1.0:
-            break
+    last = min(n, int(1.0 / r) + 1)
+    while last * r > 1.0:
+        last -= 1  # the summands are those with k * r <= 1 in floats
+
+    def log_term(k: int) -> float:
         lg = _log_comb(n, k)
         if k > 1:
-            base = 1.0 - kr
+            base = 1.0 - k * r
             if base <= 0.0:
-                continue  # kr == 1: the term (1 - kr)^(k-1) is 0 (at k = 1 it is 0**0 == 1)
+                return -math.inf  # kr == 1: (1 - kr)^(k-1) is 0 (at k = 1 it is 0**0 == 1)
             lg += (k - 1) * math.log(base)
         if k < n:
-            lg += (n - k) * math.log(kr)
-        terms.append(math.exp(lg))
-    return math.fsum(terms)
+            lg += (n - k) * math.log(k * r)
+        return lg
+
+    lo, hi = 1, last
+    while lo < hi:  # the mode: the first k whose successor is no larger
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if log_term(mid + 1) > log_term(mid) else (lo, mid)
+    terms = [math.exp(log_term(lo))]
+    total = terms[0]
+    edge, step = {-1: total, 1: total}, {-1: lo - 1, 1: lo + 1}  # per side: last summand, next k
+    while True:
+        # the k left on a side number step[-1] and last - step[1] + 1; the 2
+        # covers the rounding of the summands next to the mode
+        bound = {-1: 2 * step[-1] * edge[-1], 1: 2 * (last + 1 - step[1]) * edge[1]}
+        rest = bound[-1] + bound[1]
+        if rest <= total * 2.0**-60 and math.fsum(terms + [rest]) == (chi := math.fsum(terms)):
+            return chi
+        side = max(bound, key=bound.get)
+        terms.append(math.exp(log_term(step[side])))
+        total += terms[-1]
+        edge[side], step[side] = terms[-1], step[side] + side
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ returns the multiset of per-sample outcomes.  The engine works a chunk of
 trials at a time, a block of about BLOCK_POSITIONS (16 384) positions at a
 time, large enough that each numpy call costs more in work than in call
 overhead.  For n up to PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs
-Philox4x64-10 in numpy integer arithmetic on every row of the block at once;
-for larger n, where that costs more than it saves, one Philox generator per
-chunk is reset to each trial's key.  Both give each row exactly its trial's
-stream.  The rows are sorted together and counted by one batched, exact
-`window_counts` call, so memory does not grow with the number of trials.
+Philox4x64-10 in numpy integer arithmetic on every row of the block at once,
+each of its four lanes a (counter block, row) array, so that every operand
+is contiguous or broadcasts along the outer axis; for larger n, where that
+costs more than it saves, one Philox generator per chunk is reset to each
+trial's key from a state dict of Python ints.  Both give each row exactly
+its trial's stream.  The rows are sorted together and counted by one
+batched, exact `window_counts` call, so memory does not grow with the
+number of trials.
 An outcome reads the whole block of count rows and gives each row's result,
 computed per block: the census runs it through the guard step
 `classify._classified` and counts each distinct type once, and the chi
@@ -59,30 +62,37 @@ POOL_AFTER_S = 0.1
 # Every stage makes a fixed number of numpy calls per block, and a uint64
 # ufunc costs about 2 µs on 1 600 elements and 6-7 µs on 13 000, so small
 # blocks pay more in call overhead than in work.  Serial `_tally_chunk` at
-# cross-checked census outcomes on a 2-core Xeon VM at numpy 2.4, median of
-# 5 alternating repeats, µs a trial, 4 096 -> 16 384 positions: 3.02 -> 2.13
-# at n = 5, 8.50 -> 5.53 at n = 16, 16.3 -> 15.2 at n = 40, 32.5 -> 29.0 at
-# n = 100, 110 -> 103 at n = 400, 264 -> 244 at n = 1 000, 1 017 -> 971 at
-# n = 4 000.  Blocks of 8 192, 32 768 and 65 536 positions were slower at
-# every n >= 40 and at most 8% faster below.  The one loss seen: a 20-trial
-# `verify a1` at n = 400, now one block of 20 rows, runs about 4% slower, as
-# glibc hands the block's freed heap back and the next call page-faults it in.
+# cross-checked census outcomes on a 2-core Xeon VM at numpy 2.4, medians of
+# 11 alternating repeats in each of two runs, µs a trial, 4 096 -> 16 384
+# positions: 2.98 -> 2.19 and 2.90 -> 2.11 at n = 5, 7.98 -> 5.44 and
+# 7.14 -> 4.99 at n = 16, 114 -> 105 and 107 -> 103 at n = 400; at n = 40,
+# 100, 1 000 and 4 000 the two sizes stayed within 10% of each other, one
+# run ahead and the other behind (13.8 -> 13.6 and 10.4 -> 11.3 at n = 40).
+# Before the kernel took its (block, row) layout, blocks of 8 192, 32 768
+# and 65 536 positions were slower at every n >= 40 and at most 8% faster
+# below.  A 20-trial `verify a1` at n = 400, one block of 20 rows, can run
+# about 4% slower than in two blocks, as glibc hands the block's freed heap
+# back and the next call page-faults it in.
 BLOCK_POSITIONS = 16384
 # Blocks of n <= PHILOX_KERNEL_MAX_N (at least 512 rows) are drawn by
 # `_philox_rows`, all rows at once; larger n reset a generator per row.  The
 # kernel's cost is about fixed per block, so per row it grows with n, while
-# the loop's stays near 2.5-4.5 µs, by the machine's load.  In blocks of
-# 16 384 positions on the same VM, medians of 61 paired runs in a slow and a
-# fast phase, µs per row, kernel against loop: 2.88 / 4.48 and 2.11 / 2.50
-# at n = 32, 3.42 / 4.51 and 2.63 / 2.62 at n = 40, 4.28 / 4.82 and
-# 3.16 / 2.76 at n = 48.  The kernel wins at n <= 32 in both.
+# the loop's stays near 2-3.5 µs, by the machine's load.  In blocks of
+# 16 384 positions on the same VM, medians of 101 alternating pairs, µs a
+# row, kernel against loop, in a slow and a fast phase: 2.47 / 3.16 and
+# 1.69 / 1.81 at n = 24, 3.13 / 3.22 and 2.41 / 1.93 at n = 32, 3.75 / 3.48
+# and 3.92 / 3.50 at n = 40.  Inside `_tally_chunk` at census outcomes, where
+# the rows are then sorted and counted, the kernel won 29-41 of 41 pairs at
+# n = 32 in each of four runs (7.65 / 7.63 to 10.24 / 11.45 µs a trial), and
+# lost one run at n = 48 (9.47 / 9.26).  No n above 32 won in both phases.
 PHILOX_KERNEL_MAX_N = 32
 
 # Philox4x64-10 (Salmon et al., SC 2011) as numpy's Philox runs it: round
 # multipliers and Weyl key increments, then the 32-bit limb mask and shift
-# and the 11-bit shift that leaves a double's 53 bits.  Every
-# kernel operand is a uint64 array or scalar, so numpy wraps mod 2^64 without
-# a warning and never promotes to float64.
+# and the 11-bit shift that leaves a double's 53 bits.  Every kernel operand
+# is a uint64 array, or a uint64 scalar beside one, so numpy wraps mod 2^64
+# without a warning (scalar uint64 arithmetic warns) and never promotes to
+# float64.
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _LOW32, _32, _11 = np.uint64(2**32 - 1), np.uint64(32), np.uint64(11)
@@ -102,21 +112,20 @@ def _philox_rows(master_seed: int, trial_indices: np.ndarray, n: int) -> np.ndar
 
     numpy's Philox bumps its counter before each block of four words, so a
     fresh stream's first n draws are the blocks at counters 1..ceil(n/4) under
-    key [master_seed, i]; here all rows and blocks run the 10 rounds together.
-    A double is (word >> 11) * 2^-53, as `Generator.random` makes it.
+    key [master_seed, i].  All rows and blocks run the 10 rounds together, each
+    lane a (block, row) array; the lanes that depend on no row stay (1, 1) until
+    a round mixes the key word k1 in.  A double is (word >> 11) * 2^-53.
     """
-    k0 = np.array([master_seed], dtype=np.uint64)
-    k1 = np.asarray(trial_indices, dtype=np.uint64)[:, None]
-    blocks = -(-n // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(k1), blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = np.full((1, 1), master_seed, dtype=np.uint64), np.asarray(trial_indices, dtype=np.uint64)
+    c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[:, None]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for round_ in range(10):
         if round_:
             k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
         c0, c1, c2, c3 = (_mulhi(_PHILOX_M[1], c2) ^ c1 ^ k0, _PHILOX_M[1] * c2,
                           _mulhi(_PHILOX_M[0], c0) ^ c3 ^ k1, _PHILOX_M[0] * c0)
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * blocks)[:, :n]
-    return (words >> _11) * 2.0**-53
+    words = np.stack([c0, c1, c2, c3], axis=1).reshape(4 * len(c0), len(k1))[:n]
+    return np.multiply(words >> _11, 2.0**-53, out=np.empty((len(k1), n)).T).T  # C-contiguous rows
 
 
 def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> Counter:
@@ -175,14 +184,16 @@ def _tally_chunk(outcome, n: int, t, master_seed: int, trials: range) -> Counter
     PHILOX_KERNEL_MAX_N, `_philox_rows` draws the whole block at once.
     Otherwise one Philox generator serves the chunk and is reset before
     trial i to the state of that stream (key [master_seed, i], counter 0,
-    empty buffer).
+    empty buffer), given as Python ints, which the state setter reads faster
+    than numpy arrays.
     """
     rows = max(1, BLOCK_POSITIONS // n)
     if n > PHILOX_KERNEL_MAX_N:
         bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         generator = np.random.Generator(bit_generator)
-        fresh = bit_generator.state
-        key = fresh["state"]["key"]
+        key = [master_seed, 0]
+        fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     tally: Counter = Counter()
     for lo in range(trials.start, trials.stop, rows):
         hi = min(lo + rows, trials.stop)

@@ -211,14 +211,11 @@ def coverage_probability_exact(k: int, arc_length) -> Fraction:
     a = Fraction(arc_length)
     if a >= 1:
         return Fraction(1)
-    total = Fraction(0)
-    sign = 1
-    l = 0
-    while l <= k and l * a <= 1:
-        total += sign * math.comb(k, l) * (1 - l * a) ** (k - 1)
-        sign = -sign
-        l += 1
-    return total
+    # over the common denominator den^(k-1): (1 - l*a)^(k-1) = (den - l*num)^(k-1) / den^(k-1)
+    num, den = a.numerator, a.denominator
+    total = sum((-1) ** l * math.comb(k, l) * (den - l * num) ** (k - 1)
+                for l in range(min(k, den // num) + 1))  # l <= k and l * a <= 1
+    return Fraction(total, den ** (k - 1))
 
 
 def expected_euler_char_exact(n: int, t) -> Fraction:
@@ -232,13 +229,33 @@ def expected_euler_char_exact(n: int, t) -> Fraction:
     if tq >= Fraction(1, 2):
         return Fraction(1)
     r = 1 - 2 * tq
-    total = Fraction(0)
+    # over the common denominator q^(n-1), r = p/q: each summand is
+    # C(n,k) (q - k*p)^(k-1) (k*p)^(n-k) / q^(n-1)
+    p, q = r.numerator, r.denominator
+    total = sum(math.comb(n, k) * (q - k * p) ** (k - 1) * (k * p) ** (n - k)
+                for k in range(1, min(n, q // p) + 1))  # k * r <= 1
+    return Fraction(total, q ** (n - 1))
+
+
+def expected_euler_char_all_terms(n: int, t: float) -> float:
+    """`expected_euler_char` for 0 < t < 1/2 as the `fsum` of every summand,
+    each computed as the package computes it; the package stops early and
+    must return the same float."""
+    r = 1.0 - 2.0 * t
+    terms = []
     for k in range(1, n + 1):
         kr = k * r
-        if kr > 1:
+        if kr > 1.0:
             break
-        total += math.comb(n, k) * (1 - kr) ** (k - 1) * kr ** (n - k)
-    return total
+        lg = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        if k > 1:
+            if 1.0 - kr <= 0.0:
+                continue  # kr == 1: the summand is 0
+            lg += (k - 1) * math.log(1.0 - kr)
+        if k < n:
+            lg += (n - k) * math.log(kr)
+        terms.append(math.exp(lg))
+    return math.fsum(terms)
 
 
 def spike_center_exact(m: int, n: int) -> Fraction:

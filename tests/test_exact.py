@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import (
     DomainError, HomotopyType, allowed_types, coverage_probability, elder_c_bounds,
     expected_euler_char, omega, spike_analysis, theorem_b_params,
 )
 from reference import (
-    coverage_probability_exact, expected_euler_char_exact, n_k_homotopy, spike_a_exact,
-    spike_center_exact,
+    coverage_probability_exact, expected_euler_char_all_terms, expected_euler_char_exact, n_k_homotopy,
+    spike_a_exact, spike_center_exact,
 )
 
 
@@ -160,6 +161,16 @@ def test_chi_float_matches_rational():
             got = expected_euler_char(n, t)
             want = expected_euler_char_exact(n, t)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20_000), t=st.floats(1e-6, 0.5, exclude_max=True))
+@example(n=10**5, t=0.5 - 1e-9)  # 10^5 summands, the mode at k = 99 981
+@example(n=400, t=0.2525)  # verify a1's pinned payload
+@example(n=1000, t=0.4375)  # 8 * r == 1: the last summand is 0
+@example(n=7, t=0.0625)
+def test_chi_summed_from_the_mode_is_the_sum_of_every_term(n, t):
+    assert expected_euler_char(n, t) == expected_euler_char_all_terms(n, t)
 
 
 def test_chi_curve_basic():

@@ -287,6 +287,33 @@ def test_chunk_rows_on_both_sides_of_the_kernel_crossover(monkeypatch, n, kernel
     assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
 
 
+@pytest.mark.parametrize("n", [1, 4, 5, PHILOX_KERNEL_MAX_N])
+def test_philox_kernel_gives_contiguous_float_rows_of_the_trial_streams(n):
+    # the block is sorted in place along its rows and counted by
+    # window_counts, so the rows must be C-contiguous float64
+    from cechcircle.montecarlo import _philox_rows
+
+    seed, trials = 2**64 - 1, [0, 1, 2**63, 2**64 - 2, 2**64 - 1]
+    got = _philox_rows(seed, np.array(trials, dtype=np.uint64), n)
+    assert got.dtype == np.float64 and got.shape == (len(trials), n) and got.flags.c_contiguous
+    want = np.array([trial_rng(seed, i).random(n) for i in trials])
+    assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
+def test_per_row_path_gives_the_trial_streams_near_the_top_of_the_key_range(monkeypatch, seed):
+    from cechcircle import montecarlo
+
+    n, blocks = PHILOX_KERNEL_MAX_N + 1, []
+    count = montecarlo.window_counts
+    monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
+    monkeypatch.setattr(montecarlo, "_philox_rows", lambda *args: pytest.fail("the kernel ran"))
+    trials = range(2**64 - 6, 2**64)
+    montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
+    want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
+    assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
+
+
 # The empty-window count's goodness-of-fit test: its level and seeds were
 # fixed before it was first run.
 EMPTY_WINDOW_ALPHA = 1e-3

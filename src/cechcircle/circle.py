@@ -29,21 +29,19 @@ from .errors import DomainError, PointFileError
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Sorted, deduplicated finite point set on the circle."""
+    """Non-empty point set on the circle.  Built from any iterable of
+    positions, it holds them sorted and deduplicated, each in [0, 1)."""
 
     positions: tuple
 
     def __post_init__(self):
-        if not self.positions:
+        positions = tuple(sorted(set(self.positions)))
+        if not positions:
             raise DomainError("empty point configuration")
-
-    @staticmethod
-    def from_points(points) -> "PointConfig":
-        pts = sorted(set(points))
-        for p in pts:
-            if not 0 <= p < 1:
+        for p in positions:
+            if not 0 <= p < 1:  # nan fails too
                 raise DomainError(f"position {p} outside [0, 1)")
-        return PointConfig(tuple(pts))
+        object.__setattr__(self, "positions", positions)
 
     @property
     def n(self) -> int:
@@ -75,15 +73,14 @@ def window_counts(xs, t) -> np.ndarray:
     shifted = (ext + 4 * row).ravel()
     ext = ext.ravel()
     first = 2 * n * row + np.arange(n)  # flat index of ext[i]
-    end = first + (n - 1)  # flat index of ext[i + n - 1], the farthest window end
-    last = np.searchsorted(shifted, shifted[first] + width, side="right") - 1
-    last = np.minimum(np.maximum(last, first), end)  # flat index of ext[i + c_i]
-    while True:
-        grow = (last < end) & (ext[last + 1] - start <= width)
-        shrink = (last > first) & ~(ext[last] - start <= width)
+    c = np.searchsorted(shifted, shifted[first] + width, side="right") - 1 - first
+    np.clip(c, 0, n - 1, out=c)
+    while True:  # ext[first + c] is ext[i + c_i]
+        grow = (c < n - 1) & (ext[first + c + 1] - start <= width)
+        shrink = (c > 0) & ~(ext[first + c] - start <= width)
         if not (grow.any() or shrink.any()):
-            return (last - first).reshape(xs.shape)
-        last += grow.astype(last.dtype) - shrink
+            return c.reshape(xs.shape)
+        c += grow.astype(c.dtype) - shrink
 
 
 def _eulers_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -173,4 +170,4 @@ def load_point_file(path) -> PointConfig:
         points.append(value)
     if not points:
         raise PointFileError(0, "no points in file")
-    return PointConfig.from_points(points)
+    return PointConfig(points)

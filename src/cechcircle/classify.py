@@ -20,6 +20,8 @@ block of samples through it, `classify` its one row with the cross-check.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .circle import PointConfig, _eulers_from_counts, window_counts
@@ -29,9 +31,9 @@ from .homotopy import HomotopyType
 
 
 def classify(config: PointConfig, t) -> HomotopyType:
-    """Exact homotopy type of Cech(config, t) for t > 0, through the guard step."""
-    if t <= 0:
-        raise DomainError("t must be > 0")
+    """Exact homotopy type of Cech(config, t) for finite t > 0, through the guard step."""
+    if not 0 < t < math.inf:  # nan fails too
+        raise DomainError("t must be > 0" if t <= 0 else f"t must be finite, got {t}")
     if 1 - 2 * t <= 0:
         return HomotopyType.point()
     allowed = allowed_types(config.n, t)

@@ -42,7 +42,7 @@ def coverage_probability(k: int, arc_length) -> float:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    if arc_length <= 0:
+    if not arc_length > 0:  # nan fails too
         raise DomainError("arc_length must be > 0")
     a = float(arc_length)
     if a >= 1.0:
@@ -77,7 +77,7 @@ def expected_euler_char(n: int, t) -> float:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if t <= 0:
+    if not t > 0:  # nan fails too
         raise DomainError("t must be > 0")
     t = float(t)
     if t >= 0.5:
@@ -239,9 +239,8 @@ def allowed_types(n: int, t) -> AllowedTypes:
     """The constraint set at (n, t)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    tq = Fraction(t)
-    if not 0 < tq < Fraction(1, 2):
+    if not 0 < t < Fraction(1, 2):  # nan and inf fail here, before Fraction(t)
         raise DomainError("t must be in (0, 1/2)")
-    rho = 1 - 2 * tq
+    rho = 1 - 2 * Fraction(t)
     k = int(1 / rho)  # Fraction floor via int() is exact for positive values
     return AllowedTypes(n, k)

@@ -68,9 +68,7 @@ POOL_AFTER_S = 0.1
 # 7.14 -> 4.99 at n = 16, 114 -> 105 and 107 -> 103 at n = 400; at n = 40,
 # 100, 1 000 and 4 000 the two sizes stayed within 10% of each other, one
 # run ahead and the other behind (13.8 -> 13.6 and 10.4 -> 11.3 at n = 40).
-# Before the kernel took its (block, row) layout, blocks of 8 192, 32 768
-# and 65 536 positions were slower at every n >= 40 and at most 8% faster
-# below.  A 20-trial `verify a1` at n = 400, one block of 20 rows, can run
+# A 20-trial `verify a1` at n = 400, one block of 20 rows, can run
 # about 4% slower than in two blocks, as glibc hands the block's freed heap
 # back and the next call page-faults it in.
 BLOCK_POSITIONS = 16384
@@ -248,14 +246,13 @@ def proportion_estimate(successes: int, trials: int) -> Estimate:
 class Census:
     """Homotopy-type frequency table with full replay metadata."""
 
+    generator_id = GENERATOR_ID  # a class attribute: every census draws the same streams
     n: int
     t: float
     trials: int
     master_seed: int
-    generator_id: str
     counts: dict[HomotopyType, int]
     chi_checked: int    # trials cross-checked against the exact Euler DP: all or none
-    chi_agreed: int     # equals chi_checked, since a disagreement raises
     elapsed: float
 
     def to_json_dict(self) -> dict:
@@ -271,12 +268,12 @@ class Census:
             "generator_id": self.generator_id,
             "counts": counts,
             "chi_checked": self.chi_checked,
-            "chi_agreed": self.chi_agreed,
+            "chi_agreed": self.chi_checked,  # a disagreement raises
             "metadata": {"elapsed": self.elapsed},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def run_census(
@@ -300,16 +297,13 @@ def run_census(
     started = time.perf_counter()
     outcome = partial(_classified, allowed=allowed_types(n, t), cross_check=cross_check)
     counts = _tally(outcome, n, t, trials, master_seed, workers)
-    checked = trials if cross_check else 0
     return Census(
         n=n,
         t=float(t),
         trials=trials,
         master_seed=master_seed,
-        generator_id=GENERATOR_ID,
         counts=dict(counts),
-        chi_checked=checked,
-        chi_agreed=checked,
+        chi_checked=trials if cross_check else 0,
         elapsed=time.perf_counter() - started,
     )
 
@@ -322,8 +316,11 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     """Monte Carlo mean of the per-sample exact Euler characteristic.
 
     Deliberately uses the gap DP rather than the classifier, so the two
-    sampling pipelines share only the window counts.
+    sampling pipelines share only the window counts.  A t that is not a
+    finite number > 0 raises before any trial.
     """
+    if not 0 < t < math.inf:  # nan fails too
+        raise DomainError("t must be > 0" if t <= 0 else f"t must be finite, got {t}")
     if trials < 2:
         raise DomainError("trials must be >= 2")
     return _mean_estimate(_tally(_eulers, n, t, trials, master_seed, workers))
@@ -380,15 +377,13 @@ class VerifyReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {"theorem": self.theorem, "passed": self.passed, **self.details}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int, workers: int = 1) -> VerifyReport:
     """Empirical chi-bar against the closed form, at 3 standard errors."""
-    if t <= 0:  # here, before the trials, not by the closed form after them
-        raise DomainError("t must be > 0")
     est = estimate_chi(n, t, trials, master_seed, workers)
     exact = expected_euler_char(n, t)
     delta = abs(est.mean - exact)

@@ -10,7 +10,7 @@ from reference import trial_rng
 
 def random_config(rng: np.random.Generator, n: int) -> PointConfig:
     """Random n-point configuration from a seeded generator."""
-    return PointConfig.from_points(float(x) for x in rng.random(n))
+    return PointConfig(float(x) for x in rng.random(n))
 
 
 @st.composite
@@ -19,7 +19,7 @@ def rational_grid_instance(draw):
     d = draw(st.integers(1, 24))
     idx = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 12)))
     j = draw(st.integers(1, 2 * d - 1))
-    return PointConfig.from_points(Fraction(i, d) for i in idx), Fraction(j, 4 * d)
+    return PointConfig(Fraction(i, d) for i in idx), Fraction(j, 4 * d)
 
 
 @st.composite

@@ -23,13 +23,19 @@ from reference import (
 # ---------------------------------------------------------------------------
 
 def test_config_sorted_deduplicated():
-    config = PointConfig.from_points([0.5, 0.1, 0.5, 0.9])
+    config = PointConfig([0.5, 0.1, 0.5, 0.9])
     assert config.positions == (0.1, 0.5, 0.9)
     assert config.n == 3
     with pytest.raises(DomainError):
-        PointConfig.from_points([0.2, 1.0])
+        PointConfig([0.2, 1.0])
     with pytest.raises(DomainError):
-        PointConfig.from_points([])
+        PointConfig([])
+
+
+@pytest.mark.parametrize("positions", [(0.1, 1.5), (0.1, float("nan")), (-0.2, 0.3)])
+def test_config_rejects_positions_outside_the_circle(positions):
+    with pytest.raises(DomainError):
+        PointConfig(positions)
 
 
 def test_uniform_config():
@@ -45,9 +51,9 @@ def test_uniform_config():
 # ---------------------------------------------------------------------------
 
 def test_is_simplex_examples():
-    config = PointConfig.from_points([0, 0.4, 0.8])
+    config = PointConfig([0, 0.4, 0.8])
     assert not is_simplex(config, [0, 1, 2], 0.225)  # max gap 0.4 < 0.55
-    pair = PointConfig.from_points([0, 0.5])
+    pair = PointConfig([0, 0.5])
     assert is_simplex(pair, [0, 1], 0.25)  # antipodal arcs of radius 1/4 touch
     assert is_simplex(pair, [0], 0.01)
     with pytest.raises(DomainError):
@@ -213,7 +219,7 @@ def test_build_complex_two_sphere():
 
 
 def test_build_complex_isolated_vertices():
-    cx = build_complex(PointConfig.from_points([0, 0.5]), 0.2)
+    cx = build_complex(PointConfig([0, 0.5]), 0.2)
     assert [len(layer) for layer in cx.by_dimension()] == [2]
     assert betti_gf2(cx) == (2,)
 
@@ -237,7 +243,7 @@ def test_complex_rejects_empty_simplex():
 # ---------------------------------------------------------------------------
 
 def test_euler_examples():
-    assert euler_char_exact(PointConfig.from_points([0, 0.5]), 0.2) == 2
+    assert euler_char_exact(PointConfig([0, 0.5]), 0.2) == 2
     assert euler_char_exact(uniform_config(4), 0.26) == 2  # chi(S^2)
     rng = np.random.default_rng(8)
     assert euler_char_exact(random_config(rng, 17), 0.5) == 1

@@ -44,7 +44,7 @@ def test_homotopy_type_json_round_trip():
 def test_dismantle_removes_crowded_point():
     # 0.01 is dominated by 0: dropping it leaves uniform_config(4), whose
     # windows at t = 0.26 all hold 2 further points, i.e. N(4, 2) = S^2
-    crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
+    crowded = PointConfig([0, 0.01, 0.25, 0.5, 0.75])
     reduced = uniform_config(4)
     assert window_counts(reduced.positions, Fraction(26, 100)).tolist() == [2, 2, 2, 2]
     assert classify(crowded, 0.26) == classify(reduced, 0.26) == n_k_homotopy(4, 2)
@@ -56,15 +56,26 @@ def test_dismantle_removes_crowded_point():
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify(PointConfig.from_points([0, 0.5]), 0.2) == HomotopyType.wedge_even(1, 0)
+    assert classify(PointConfig([0, 0.5]), 0.2) == HomotopyType.wedge_even(1, 0)
     assert classify(uniform_config(5), 0.31) == HomotopyType.odd_sphere(1)
-    connected_arc = PointConfig.from_points([0, 0.1, 0.45, 0.55])
+    connected_arc = PointConfig([0, 0.1, 0.45, 0.55])
     assert classify(connected_arc, 0.2) == HomotopyType.point()
     assert betti_gf2(build_complex(connected_arc, 0.2)) == (1,)
     assert classify(uniform_config(5), 0.5) == HomotopyType.point()
     # a crowded fifth point leaves N(4, 2) = S^2
-    crowded = PointConfig.from_points([0, 0.01, 0.25, 0.5, 0.75])
+    crowded = PointConfig([0, 0.01, 0.25, 0.5, 0.75])
     assert classify(crowded, 0.26) == HomotopyType.wedge_even(1, 1)
+
+
+def test_classify_unsorted_constructor_input():
+    # the arcs of radius 0.2 around 0.1, 0.4, 0.7 cover the circle: S^1
+    assert classify(PointConfig((0.7, 0.1, 0.4)), 0.2) == HomotopyType.odd_sphere(0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.3, float("nan"), float("inf"), float("-inf")])
+def test_classify_rejects_t_not_finite_and_positive(t):
+    with pytest.raises(DomainError):
+        classify(PointConfig([0, 0.5]), t)
 
 
 def test_classify_matches_oracle():
@@ -117,7 +128,7 @@ def test_classify_philox_sample_with_wrap_tie():
         "0x1.db390f61624a0p-6", "0x1.dccc3ae421bfep-2", "0x1.7ad3fd76d4330p-1",
         "0x1.7bcb84164d839p-1", "0x1.972395bc8fbbcp-1", "0x1.d83afa6eb8c9ep-1",
         "0x1.e288db0c11fdep-1")]
-    config = PointConfig.from_points(xs)
+    config = PointConfig(xs)
     t = float.fromhex("0x1.0bdd4265fee21p-2")
     ht = classify(config, t)
     assert ht == HomotopyType.point()
@@ -131,7 +142,7 @@ def decimal_grid_instance(draw):
     d = draw(st.sampled_from([8, 10, 20, 25, 40, 100]))
     idx = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 10)))
     j = draw(st.integers(1, 2 * d - 1))
-    return PointConfig.from_points(k / d for k in idx), j / (4 * d)
+    return PointConfig(k / d for k in idx), j / (4 * d)
 
 
 def _assert_classify_agrees(config, t):
@@ -141,7 +152,7 @@ def _assert_classify_agrees(config, t):
 
 
 def test_classify_decimal_floats_pinned():
-    config = PointConfig.from_points([0.125, 0.3, 0.35, 0.6, 0.625, 0.85])
+    config = PointConfig([0.125, 0.3, 0.35, 0.6, 0.625, 0.85])
     _assert_classify_agrees(config, 0.0125)
 
 

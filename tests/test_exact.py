@@ -346,3 +346,16 @@ def test_allowed_types_accepts_known_realization():
         allowed_types(4, 0.5)
     with pytest.raises(DomainError):
         allowed_types(4, 0.0)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_allowed_types_rejects_non_finite_t(t):
+    with pytest.raises(DomainError):
+        allowed_types(5, t)
+
+
+def test_nan_domain_errors():
+    with pytest.raises(DomainError):
+        expected_euler_char(5, float("nan"))
+    with pytest.raises(DomainError):
+        coverage_probability(5, float("nan"))

@@ -4,14 +4,17 @@ import importlib
 import math
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import (
-    Census, DomainError, HomotopyType, estimate_B, estimate_betti, estimate_chi, expected_euler_char,
-    omega, run_census, verify_theorem_a1, verify_theorem_a2, verify_theorem_b, verify_theorem_elder_c,
+    Census, DomainError, HomotopyType, coverage_probability, estimate_B, estimate_betti, estimate_chi,
+    expected_euler_char, omega, run_census, verify_theorem_a1, verify_theorem_a2, verify_theorem_b,
+    verify_theorem_elder_c,
 )
 from cechcircle.montecarlo import GENERATOR_ID, PHILOX_KERNEL_MAX_N, Estimate, _mean_estimate
 
@@ -31,7 +34,7 @@ def test_census_determinism_and_workers():
     b = run_census(12, 0.2, 200, master_seed=9)
     c = run_census(12, 0.2, 200, master_seed=9, workers=2)
     assert _census_key_dict(a) == _census_key_dict(b) == _census_key_dict(c)
-    assert a.chi_checked == a.chi_agreed == 200
+    assert a.chi_checked == 200
     assert a.generator_id == GENERATOR_ID
     da, dc = a.to_json_dict(), c.to_json_dict()
     da.pop("metadata"), dc.pop("metadata")
@@ -55,7 +58,7 @@ def test_census_contractible_regime():
 
 def test_census_constraint_keys_k2():
     census = run_census(50, 0.2525, 300, master_seed=3)
-    assert census.chi_checked == census.chi_agreed == 300
+    assert census.chi_checked == 300
     assert sum(census.counts.values()) == 300
 
 
@@ -426,11 +429,12 @@ def test_duplicate_position_is_one_more_vertex():
         idx = sorted(rng.choice(d, size=int(rng.integers(1, min(d, 9) + 1)), replace=False))
         xs = sorted([Fraction(int(i), d) for i in idx] + [Fraction(int(rng.choice(idx)), d)])
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
-        unique = PointConfig.from_points(xs)
+        unique = PointConfig(xs)
         counts, unique_counts = window_counts([xs], t), window_counts([unique.positions], t)
         ht, = _classified(counts, allowed_types(len(xs), t), True)
         assert ht == classify(unique, t)
-        assert ht.betti() == betti_gf2(build_complex(PointConfig(tuple(xs)), t))
+        multiset = SimpleNamespace(n=len(xs), positions=tuple(xs))  # a PointConfig deduplicates
+        assert ht.betti() == betti_gf2(build_complex(multiset, t))
         assert _eulers_from_counts(counts).tolist() == _eulers_from_counts(unique_counts).tolist()
         for radius in (t, Fraction(1, 2) - t, Fraction(1, 2)):
             assert _covers(window_counts(xs, radius), radius) == \
@@ -440,6 +444,16 @@ def test_duplicate_position_is_one_more_vertex():
 def test_census_rejects_bad_trials():
     with pytest.raises(DomainError):
         run_census(5, 0.2, 0, master_seed=1)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_t_not_finite_and_positive_raises_before_any_trial(monkeypatch, t):
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    for run in (estimate_chi, run_census, verify_theorem_a1):
+        with pytest.raises(DomainError):
+            run(5, t, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +520,7 @@ def _artificial_census(counts, n=100, t=0.2525, trials=None):
     total = sum(counts.values())
     return Census(
         n=n, t=t, trials=trials or total, master_seed=0,
-        generator_id=GENERATOR_ID, counts=counts,
-        chi_checked=0, chi_agreed=0, elapsed=0.0,
+        counts=counts, chi_checked=0, elapsed=0.0,
     )
 
 
@@ -560,6 +573,19 @@ def test_verify_b_k1():
     report = verify_theorem_b(1, 200, 7 / 24, 100, master_seed=4)
     assert report.passed
     assert report.details["frequency"] >= report.details["bound"] - 3 * report.details["std_error"]
+
+
+def test_theorem_b_s1_count_follows_the_coverage_law():
+    # below t = 1/4 a sample is S^1 exactly when its arcs cover the circle, so
+    # the S^1 count is Binomial(trials, Q) with Q = coverage_probability(n, 2t).
+    # One two-sided test at alpha = 1e-3, normal approximation (trials Q (1 - Q)
+    # is about 40 000), on the count pooled over seeds fixed in advance
+    n, t, trials, seeds = 20, 0.1, 50_000, (1, 2, 3, 4)
+    s1 = sum(run_census(n, t, trials, seed, cross_check=False).counts.get(HomotopyType.odd_sphere(0), 0)
+             for seed in seeds)
+    total, q = trials * len(seeds), coverage_probability(n, 2 * t)
+    z = (s1 - total * q) / math.sqrt(total * q * (1 - q))
+    assert abs(z) <= NormalDist().inv_cdf(1 - 1e-3 / 2), z
 
 
 def test_verify_b_rejects_t_outside_window():
@@ -634,4 +660,4 @@ def test_verify_a1_n400_payload_pinned(workers):
 def test_census_counts_pinned(workers):
     census = run_census(30, 0.26, 400, 11, workers=workers)
     assert census.counts == {HomotopyType.wedge_even(a, 1): c for a, c in GOLDEN_CENSUS.items()}
-    assert census.chi_checked == census.chi_agreed == 400
+    assert census.chi_checked == 400

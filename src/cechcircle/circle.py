@@ -57,7 +57,7 @@ def window_counts(xs, t) -> np.ndarray:
     through object arrays, so their arithmetic stays exact.  With ext the
     row's positions shifted by -1 followed by the row itself, c_i is the
     number of e in (i, i+n) with ext[e] - ext[i] <= 2t: x_b - x_a, or
-    1 - (x_a - x_b) across the wrap, compared with 2t.  One searchsorted
+    x_b - (x_a - 1) across the wrap, compared with 2t.  One searchsorted
     over all rows, row r shifted by 4r so that rows never interleave,
     guesses each window end; each end then moves by one until that exact
     test holds for it and fails for the next, so the rounding of the

@@ -4,14 +4,15 @@ verification harness.
 Every Monte Carlo quantity runs through one trial engine, `_tally`: trial i
 draws n uniform points from an independent Philox stream keyed by
 (master_seed, i), sorts them and counts their windows, and the engine
-returns the multiset of per-sample outcomes.  The engine works a chunk of
-trials at a time, a block of about BLOCK_POSITIONS (16 384) positions at a
-time, large enough that each numpy call costs more in work than in call
-overhead.  For n up to PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs
+returns the multiset of per-sample outcomes.  Its one unit of work is a
+block of trials of about BLOCK_POSITIONS (16 384) positions, large enough
+that each numpy call costs more in work than in call overhead; the calling
+process runs the blocks in order, and a process pool takes those left once
+a call runs long.  For n up to PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs
 Philox4x64-10 in numpy integer arithmetic on every row of the block at once,
 each of its four lanes a (counter block, row) array, so that every operand
 is contiguous or broadcasts along the outer axis; for larger n, where that
-costs more than it saves, one Philox generator per chunk is reset to each
+costs more than it saves, one Philox generator per block is reset to each
 trial's key from a state dict of Python ints.  Both give each row exactly
 its trial's stream.  The rows are sorted together and counted by one
 batched, exact `window_counts` call, so memory does not grow with the
@@ -56,12 +57,12 @@ GENERATOR_ID = "numpy-philox4x64"
 # 2-vCPU VM a pool of two costs about 13 ms and 4 000 page faults a call, and
 # ties the call's time to the load on the second core: a 100-trial census at
 # n = 100 (about 20 ms) ran no faster with it, and its time varied more.  The
-# absolute wait keeps one stalled early chunk from starting a pool.
+# absolute wait keeps one stalled early block from starting a pool.
 POOL_AFTER_S = 0.1
 # A block of trials holds about this many positions (rows = max(1, BLOCK_POSITIONS // n)).
 # Every stage makes a fixed number of numpy calls per block, and a uint64
 # ufunc costs about 2 µs on 1 600 elements and 6-7 µs on 13 000, so small
-# blocks pay more in call overhead than in work.  Serial `_tally_chunk` at
+# blocks pay more in call overhead than in work.  Serial `_tally` at
 # cross-checked census outcomes on a 2-core Xeon VM at numpy 2.4, medians of
 # 11 alternating repeats in each of two runs, µs a trial, 4 096 -> 16 384
 # positions: 2.98 -> 2.19 and 2.90 -> 2.11 at n = 5, 7.98 -> 5.44 and
@@ -79,7 +80,7 @@ BLOCK_POSITIONS = 16384
 # 16 384 positions on the same VM, medians of 101 alternating pairs, µs a
 # row, kernel against loop, in a slow and a fast phase: 2.47 / 3.16 and
 # 1.69 / 1.81 at n = 24, 3.13 / 3.22 and 2.41 / 1.93 at n = 32, 3.75 / 3.48
-# and 3.92 / 3.50 at n = 40.  Inside `_tally_chunk` at census outcomes, where
+# and 3.92 / 3.50 at n = 40.  Inside `_tally` at census outcomes, where
 # the rows are then sorted and counted, the kernel won 29-41 of 41 pairs at
 # n = 32 in each of four runs (7.65 / 7.63 to 10.24 / 11.45 µs a trial), and
 # lost one run at n = 48 (9.47 / 9.26).  No n above 32 won in both phases.
@@ -133,13 +134,14 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     An outcome returns what `Counter.update` takes: one result per row, or
     each result with its number of rows.  An InternalInconsistencyError
     with args (message, row) is raised again naming t and the row's
-    positions.  With p = min(workers, trials, CPUs) > 1 the trials are cut
-    into about 16 contiguous chunks per process, rounded up to whole blocks,
-    which the calling process runs in order.  Once it has run for
+    positions.  The trials are cut from 0 into blocks of
+    max(1, BLOCK_POSITIONS // n) rows, which the calling process runs in
+    order.  With p = min(workers, CPUs) > 1, once it has run for
     POOL_AFTER_S with at least as long left at its pace so far, at most p
-    processes take the chunks left; `outcome` must then be picklable.
-    Shorter calls never start a pool.  Either way the error of the earliest
-    failing chunk is raised, and `workers` never changes the result.
+    processes take the blocks left, about 16 tasks a process; `outcome`
+    must then be picklable.  Shorter calls never start a pool.  Either way
+    the error of the earliest failing block is raised, and `workers` never
+    changes the result.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -149,68 +151,60 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
         raise DomainError("workers must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
-    run = partial(_tally_chunk, outcome, n, t, master_seed)
-    processes = min(workers, trials, os.cpu_count() or 1)
-    if processes <= 1:
-        return run(range(trials))
+    run = partial(_tally_block, outcome, n, t, master_seed)
     rows = max(1, BLOCK_POSITIONS // n)
-    size = rows * -(-trials // (16 * processes * rows))  # whole blocks
-    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    starts = range(0, trials, rows)
+    blocks = (range(lo, min(lo + rows, trials)) for lo in starts)
+    processes = min(workers, os.cpu_count() or 1)
     counts: Counter = Counter()
     start = time.perf_counter()
-    for done, chunk in enumerate(chunks):
+    for done, block in enumerate(blocks, 1):
+        counts.update(run(block))
         elapsed = time.perf_counter() - start
-        if done and elapsed > POOL_AFTER_S and elapsed / done * (len(chunks) - done) > POOL_AFTER_S:
+        if processes > 1 and elapsed > POOL_AFTER_S and elapsed / done * (len(starts) - done) > POOL_AFTER_S:
             break
-        counts.update(run(chunk))
     else:
         return counts
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(processes, len(chunks) - done)) as pool:
-        for chunk in pool.map(run, chunks[done:]):
-            counts.update(chunk)
+    left = len(starts) - done
+    with ProcessPoolExecutor(max_workers=min(processes, left)) as pool:
+        for tally in pool.map(run, blocks, chunksize=-(-left // (16 * processes))):
+            counts.update(tally)
     return counts
 
 
-def _tally_chunk(outcome, n: int, t, master_seed: int, trials: range) -> Counter:
-    """`_tally` over one contiguous range of trials, a block of rows at a time.
+def _tally_block(outcome, n: int, t, master_seed: int, trials: range) -> Counter:
+    """`_tally` over one block of trials, drawn, sorted and counted at once.
 
     Row i holds exactly the first n draws of numpy's Philox keyed
-    [master_seed, i] (`trial_rng` in tests/reference.py).
-    A block holds about BLOCK_POSITIONS positions.  With n at most
+    [master_seed, i] (`trial_rng` in tests/reference.py).  With n at most
     PHILOX_KERNEL_MAX_N, `_philox_rows` draws the whole block at once.
-    Otherwise one Philox generator serves the chunk and is reset before
+    Otherwise one Philox generator serves the block and is reset before
     trial i to the state of that stream (key [master_seed, i], counter 0,
     empty buffer), given as Python ints, which the state setter reads faster
     than numpy arrays.
     """
-    rows = max(1, BLOCK_POSITIONS // n)
-    if n > PHILOX_KERNEL_MAX_N:
+    if n <= PHILOX_KERNEL_MAX_N:
+        block = _philox_rows(master_seed, np.arange(trials.start, trials.stop, dtype=np.uint64), n)
+    else:
         bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         generator = np.random.Generator(bit_generator)
         key = [master_seed, 0]
         fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    tally: Counter = Counter()
-    for lo in range(trials.start, trials.stop, rows):
-        hi = min(lo + rows, trials.stop)
-        if n <= PHILOX_KERNEL_MAX_N:
-            block = _philox_rows(master_seed, np.arange(lo, hi, dtype=np.uint64), n)
-        else:
-            block = np.empty((hi - lo, n))
-            for i, row in enumerate(block, lo):
-                key[1] = i
-                bit_generator.state = fresh
-                generator.random(out=row)
-        block.sort(axis=1)
-        try:
-            tally.update(outcome(window_counts(block, t)))
-        except InternalInconsistencyError as exc:
-            message, row = exc.args
-            positions = tuple(block[row].tolist())
-            raise InternalInconsistencyError(f"{message} at t={t}, positions {positions}") from None
-    return tally
+        block = np.empty((len(trials), n))
+        for i, row in zip(trials, block):
+            key[1] = i
+            bit_generator.state = fresh
+            generator.random(out=row)
+    block.sort(axis=1)
+    try:
+        return Counter(outcome(window_counts(block, t)))
+    except InternalInconsistencyError as exc:
+        message, row = exc.args
+        positions = tuple(block[row].tolist())
+        raise InternalInconsistencyError(f"{message} at t={t}, positions {positions}") from None
 
 
 @dataclass(frozen=True)
@@ -336,6 +330,8 @@ def estimate_betti(
 ) -> Estimate:
     """Monte Carlo mean of the classifier-derived Betti number in one degree,
     read from the census of the same samples."""
+    if dim < 0:
+        raise DomainError(f"dim must be >= 0, got {dim}")
     if trials < 2:
         raise DomainError("trials must be >= 2")
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
@@ -348,7 +344,9 @@ def estimate_betti(
 
 def estimate_B(census: Census, k: int, delta: float) -> Estimate:
     """Proportion of census trials landing in the aggregated even-wedge event:
-    type wedge^a(S^(2k-2)) with delta*n/k <= a+1 <= n/k."""
+    type wedge^a(S^(2k-2)) with delta*n/k <= a+1 <= n/k, for delta in (0, 1)."""
+    if not 0 < delta < 1:
+        raise DomainError("delta must be in (0,1)")
     if census.trials < 1:
         raise DomainError("census is empty")
     expected_k = allowed_types(census.n, census.t).k

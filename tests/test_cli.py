@@ -540,7 +540,7 @@ def test_n_above_2_to_the_24_usage_error(capsys, monkeypatch, argv):
     # one row of 2^24 points already peaks at about 1.3 GB; no trial runs
     from cechcircle import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_tally_chunk", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(montecarlo, "_tally_block", lambda *args: pytest.fail("a trial ran"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

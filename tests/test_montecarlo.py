@@ -1,5 +1,6 @@
 """Seeded censuses, estimators (a mean and its standard error, read from the
 tally), and the statistical verification harness."""
+import functools
 import importlib
 import math
 from collections import Counter
@@ -89,7 +90,7 @@ def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
 
 def _in_process_pool(started):
     """A stand-in for ProcessPoolExecutor that records its size and runs the
-    chunks in this process."""
+    blocks in this process."""
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -101,13 +102,13 @@ def _in_process_pool(started):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+        def map(self, fn, blocks, chunksize):
+            return map(fn, blocks)
 
     return InProcessPool
 
 
-def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
+def test_tally_starts_at_most_one_process_per_block_and_cpu(monkeypatch):
     import concurrent.futures
     import os
 
@@ -115,7 +116,7 @@ def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
 
     started = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
-    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 10 chunks
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 10 blocks
     serial = run_census(6, 0.2, 10, master_seed=4).counts
     assert run_census(6, 0.2, 10, master_seed=4, workers=2).counts == serial
     assert started == []  # far shorter than POOL_AFTER_S: no pool
@@ -128,34 +129,34 @@ def test_tally_starts_at_most_one_process_per_chunk_and_cpu(monkeypatch):
         run_census(6, 0.2, 10, master_seed=4, workers=0)
 
 
-def test_tally_starts_no_pool_for_one_stalled_chunk(monkeypatch):
+def test_tally_starts_no_pool_for_one_stalled_block(monkeypatch):
     import concurrent.futures
     import os
 
     from cechcircle import montecarlo
 
     now = [0.0]
-    chunk = montecarlo._tally_chunk
+    block = montecarlo._tally_block
 
-    def first_chunk_stalls(*args):  # 0.09 s, then 0.1 ms a chunk
+    def first_block_stalls(*args):  # 0.09 s, then 0.1 ms a block
         now[0] += 0.09 if now[0] == 0 else 1e-4
-        return chunk(*args)
+        return block(*args)
 
     started = []
     monkeypatch.setattr(montecarlo.time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(montecarlo, "_tally_chunk", first_chunk_stalls)
+    monkeypatch.setattr(montecarlo, "_tally_block", first_block_stalls)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 30 chunks
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     run_census(6, 0.2, 60, master_seed=1, workers=2)
-    assert started == []  # the stall predicted 2.8 s more, but only 0.09 s had passed
+    assert started == []  # the stall predicted 5.3 s more, but only 0.09 s had passed
 
 
 def test_tally_in_a_pool_matches_serial(monkeypatch):
     from cechcircle import montecarlo
 
-    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)  # a real pool after the first chunk
-    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4 * 12)  # 4-row blocks: 25 chunks
+    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)  # a real pool after the first block
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4 * 12)  # 4-row blocks: 50 blocks
     assert run_census(12, 0.2, 200, master_seed=9, workers=2).counts == \
         run_census(12, 0.2, 200, master_seed=9).counts
 
@@ -172,10 +173,10 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
                         lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 30 chunks
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     with pytest.raises(InternalInconsistencyError) as serial:
         run_census(6, 0.2, 60, master_seed=1)
-    for after in (0.0, 10.0):  # the pool runs all chunks but the first, or none
+    for after in (0.0, 10.0):  # the pool runs all blocks but the first, or none
         monkeypatch.setattr(montecarlo, "POOL_AFTER_S", after)
         with pytest.raises(InternalInconsistencyError) as pooled:
             run_census(6, 0.2, 60, master_seed=1, workers=2)
@@ -192,9 +193,9 @@ def test_census_counts_each_sample_once(monkeypatch):
     assert sum(rows) == 40  # one row per sample feeds the type and the cross-check
 
 
-def test_tally_cuts_chunks_at_block_boundaries(monkeypatch):
+def test_tally_runs_the_same_blocks_at_every_worker_count(monkeypatch):
     # 100 trials at n = 100 with 2 workers: in blocks of 4 096 positions, blocks
-    # of 40 rows, not 25 chunks of 4; at the default size, one block of 100
+    # of 40 rows; at the default size, one block of 100
     import concurrent.futures
 
     from cechcircle import montecarlo
@@ -239,8 +240,8 @@ def test_tally_memory_does_not_grow_with_trials():
 @pytest.mark.parametrize("block_rows", [None, 3])
 @pytest.mark.parametrize("n", [1, 5, 100, 1000])
 def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
-    # chunks from 0 and from mid-range; the default block, or blocks of 3
-    # rows that split each chunk
+    # 7 and 46 trials in the default block, or in blocks of 3 rows, so that
+    # blocks start mid-range
     from cechcircle import montecarlo
 
     blocks = []
@@ -250,12 +251,12 @@ def test_chunk_rows_are_the_sorted_trial_streams(monkeypatch, n, block_rows):
         monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", block_rows * n)
     rows = max(1, montecarlo.BLOCK_POSITIONS // n)
     seed = 2**64 - 3
-    for trials in (range(0, 7), range(37, 46)):
+    for trials in (7, 46):
         blocks.clear()
-        montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
-        sizes = [min(rows, trials.stop - lo) for lo in range(trials.start, trials.stop, rows)]
+        montecarlo._tally(montecarlo._eulers, n, 0.2, trials, seed, 1)
+        sizes = [min(rows, trials - lo) for lo in range(0, trials, rows)]
         assert [len(block) for block in blocks] == sizes
-        want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
+        want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in range(trials)])
         assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
 
 
@@ -283,10 +284,10 @@ def test_chunk_rows_on_both_sides_of_the_kernel_crossover(monkeypatch, n, kernel
     count, draw = montecarlo.window_counts, montecarlo._philox_rows
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
     monkeypatch.setattr(montecarlo, "_philox_rows", lambda *args: calls.append(args) or draw(*args))
-    seed, trials = 2**64 - 1, range(250, 1300)  # three blocks, the last partial
-    montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
+    seed, trials = 2**64 - 1, 1300  # three blocks, the last partial
+    montecarlo._tally(montecarlo._eulers, n, 0.2, trials, seed, 1)
     assert len(blocks) == 3 and len(calls) == (3 if kernel else 0)
-    want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
+    want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in range(trials)])
     assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
 
 
@@ -311,8 +312,8 @@ def test_per_row_path_gives_the_trial_streams_near_the_top_of_the_key_range(monk
     count = montecarlo.window_counts
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: blocks.append(xs.copy()) or count(xs, t))
     monkeypatch.setattr(montecarlo, "_philox_rows", lambda *args: pytest.fail("the kernel ran"))
-    trials = range(2**64 - 6, 2**64)
-    montecarlo._tally_chunk(montecarlo._eulers, n, 0.2, seed, trials)
+    trials = range(2**64 - 6, 2**64)  # one block
+    montecarlo._tally_block(montecarlo._eulers, n, 0.2, seed, trials)
     want = np.array([np.sort(trial_rng(seed, i).random(n)) for i in trials])
     assert np.concatenate(blocks).tobytes() == want.tobytes()  # bit for bit
 
@@ -327,14 +328,15 @@ def _empty_windows(counts: np.ndarray) -> list[int]:
     return (counts == 0).sum(axis=1).tolist()
 
 
-def _empty_window_law(n: int, t: float) -> list[Fraction]:
+@functools.cache
+def _empty_window_law(n: int, t: float) -> tuple[Fraction, ...]:
     """P(exactly j of the n spacings of n uniform points on the circle exceed
     a = 2t), j = 0..n: C(n,j) sum_(i>=j) (-1)^(i-j) C(n-j,i-j) (1-ia)_+^(n-1)
     (Stevens 1939)."""
     a = Fraction(2 * t)
-    return [math.comb(n, j) * sum((-1) ** (i - j) * math.comb(n - j, i - j) * max(1 - i * a, 0) ** (n - 1)
-                                for i in range(j, n + 1))
-            for j in range(n + 1)]
+    return tuple(math.comb(n, j) * sum((-1) ** (i - j) * math.comb(n - j, i - j) * max(1 - i * a, 0) ** (n - 1)
+                                     for i in range(j, n + 1))
+                 for j in range(n + 1))
 
 
 def _chi2_tail(x: float, df: int) -> float:
@@ -356,8 +358,11 @@ def test_chi2_tail_matches_known_quantiles():
 
 
 # (n, t, seed, kernel): n = 5 and n = 20 are drawn by the Philox kernel, n = 48
-# by the per-row loop; at (48, 0.03) about 2.6 windows of a sample are empty
-EMPTY_WINDOW_CASES = [(5, 0.2, 1939, True), (20, 0.05, 1929, True), (48, 0.03, 1983, False)]
+# and n = 100 by the per-row loop; at (48, 0.03) about 2.6 windows of a sample
+# are empty, at (100, 0.01) about 13.5 and at (100, 0.004) about 45, where
+# n 2t < 1 leaves no sample without an empty window
+EMPTY_WINDOW_CASES = [(5, 0.2, 1939, True), (20, 0.05, 1929, True), (48, 0.03, 1983, False),
+                      (100, 0.01, 2011, False), (100, 0.004, 1943, False)]
 
 
 def _empty_window_p_value(n: int, t: float, seed: int) -> float:
@@ -369,12 +374,17 @@ def _empty_window_p_value(n: int, t: float, seed: int) -> float:
     tally = montecarlo._tally(_empty_windows, n, t, trials, seed, workers=1)
     law = _empty_window_law(n, t)
     assert sum(law) == 1
-    while trials * law[-1] < 5:  # pool the upper tail into cells expecting at least 5
-        law[-2:] = [law[-2] + law[-1]]
-    observed = [tally[j] for j in range(len(law) - 1)]
-    observed.append(trials - sum(observed))
-    statistic = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, map(float, law)))
-    return _chi2_tail(statistic, len(law) - 1)
+    law = list(map(float, law))
+    lo, hi = 0, n  # pool j <= lo and j >= hi into the end cells, each expecting at least 5
+    while trials * sum(law[:lo + 1]) < 5:
+        lo += 1
+    while trials * sum(law[hi:]) < 5:
+        hi -= 1
+    expected = [sum(law[:lo + 1]), *law[lo + 1:hi], sum(law[hi:])]
+    observed = [sum(tally[j] for j in range(lo + 1)), *(tally[j] for j in range(lo + 1, hi)),
+                sum(tally[j] for j in range(hi, n + 1))]
+    statistic = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, expected))
+    return _chi2_tail(statistic, len(expected) - 1)
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -401,6 +411,30 @@ def test_empty_window_count_rejects_windows_two_percent_too_wide(monkeypatch, n,
     count = montecarlo.window_counts
     monkeypatch.setattr(montecarlo, "window_counts", lambda xs, t: count(xs, 1.02 * t))
     assert _empty_window_p_value(n, t, seed) < EMPTY_WINDOW_ALPHA
+
+
+def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(monkeypatch):
+    # 20 000 trials in 500 blocks of 40 rows, all but the first in a real pool
+    import concurrent.futures
+    import os
+
+    from cechcircle import montecarlo
+
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    n, t, seed, _ = EMPTY_WINDOW_CASES[3]
+    serial = montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
+    assert montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=2) == serial
+    assert started == [2]
 
 
 def test_outcome_error_names_the_failing_sample(monkeypatch):
@@ -487,6 +521,15 @@ def test_estimate_betti_contractible_regime():
         assert est.mean == 0.0
 
 
+def test_estimate_betti_rejects_a_negative_degree_before_any_trial(monkeypatch):
+    # a negative dim would index the Betti numbers from the top
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(DomainError, match="dim must be >= 0"):
+        estimate_betti(30, 0.26, -1, 200, 1)
+
+
 def test_estimate_coverage():
     est = estimate_coverage(3, 0.25, 20000, master_seed=7)
     assert abs(est.mean - 0.25) <= 3 * est.std_error + 1e-9
@@ -536,6 +579,13 @@ def test_estimate_B_artificial_census():
 def test_estimate_B_no_wedges():
     census = _artificial_census({HomotopyType.odd_sphere(1): 80})
     assert estimate_B(census, 2, 0.3).mean == 0.0
+
+
+@pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.5, math.nan])
+def test_estimate_B_rejects_delta_outside_the_open_unit_interval(delta):
+    census = _artificial_census({HomotopyType.wedge_even(30, 1): 50, HomotopyType.odd_sphere(1): 50})
+    with pytest.raises(DomainError, match=r"delta must be in \(0,1\)"):
+        estimate_B(census, 2, delta)
 
 
 def test_estimate_B_k_mismatch():

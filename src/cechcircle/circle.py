@@ -7,13 +7,16 @@ from point a reaches point b") is made by `window_counts`, whose counts the
 classifier and the Euler DP read, and so do the test references for coverage
 (no empty window) and the complex builder, so each tie is decided once;
 its differences are exact on Fractions and on Philox samples (2^-53 grid).
-It counts one row or a whole block of rows in numpy: one searchsorted
-guesses every window end and an exact fix-up settles each tie, on float
-arrays and on object arrays of Fractions alike.  A Monte Carlo sample is
-counted once, in its block.  The Euler DP needs nothing else: its chain
-counts reduce to ancestor tests on a tree read from the counts, O(n) steps
-on random samples, run for all rows of a block together.  Only the test
-references' subset predicate (tests/reference.py) compares cyclic gaps.
+It counts one row or a whole block of rows in numpy, on float arrays and on
+object arrays of Fractions alike.  Rows of at most OFFSET_COUNT_MAX_N (20)
+points are counted offset by offset, in at most n - 1 contiguous passes of
+the exact test; in longer rows one searchsorted guesses every window end, in
+about 15 search steps a point, and an exact fix-up of gathers settles each
+tie.  A Monte Carlo sample is counted once, in its block.  The Euler DP
+needs nothing else: its chain counts reduce to ancestor tests on a tree read
+from the counts, O(n) steps on random samples, run for all rows of a block
+together.  Only the test references' subset predicate (tests/reference.py)
+compares cyclic gaps.
 """
 from __future__ import annotations
 
@@ -48,6 +51,29 @@ class PointConfig:
         return len(self.positions)
 
 
+# `window_counts` counts rows of at most OFFSET_COUNT_MAX_N points offset by
+# offset and searches longer rows.  A pass over one offset is a contiguous
+# subtract, compare and add per position, and the passes stop at the first
+# offset that no window reaches, so their cost grows with n and with t; the
+# search costs about log2(2 * 16 384) = 15 steps a point plus a fix-up of
+# gathers at any n and t.  On sorted full Philox kernel blocks
+# (16 384 // n rows), 2-core Xeon VM, numpy 2.4.6, medians of 12 interleaved
+# rounds of 15 calls, µs a row, search / offsets (rounds the offsets won),
+# at t = 0.1, 0.26 and 0.45:
+#   n =  8  0.69 / 0.22 (12)  0.55 / 0.21 (12)  0.53 / 0.21 (12)
+#   n = 12  0.76 / 0.31 (12)  0.96 / 0.41 (12)  0.78 / 0.41 (12)
+#   n = 16  1.01 / 0.54 (12)  1.02 / 0.73 (12)  1.01 / 0.75 (12)
+#   n = 18  1.49 / 0.65 (12)  1.15 / 0.99 (12)  1.49 / 1.01 (12)
+#   n = 20  1.25 / 0.77 (12)  1.24 / 1.22 (10)  1.59 / 1.24 (12)
+#   n = 22  1.83 / 1.06 (12)  1.52 / 1.60  (0)  1.47 / 1.60  (0)
+#   n = 24  1.55 / 1.03 (12)  1.54 / 1.56  (0)  1.64 / 1.77  (0)
+#   n = 28  1.88 / 1.14 (12)  1.85 / 2.11  (0)  1.69 / 1.87  (0)
+#   n = 32  2.09 / 1.18 (12)  1.30 / 1.91  (0)  1.57 / 2.21  (1)
+# At n = 5 the offsets took 0.09-0.18 µs a row against 0.28-0.44.  Small t
+# stops early and won to n = 32; from n = 22 the covering regime lost.
+OFFSET_COUNT_MAX_N = 20
+
+
 def window_counts(xs, t) -> np.ndarray:
     """For each of the sorted positions xs, how many further points lie in
     the closed forward arc of length 2t starting there (capped at n-1).
@@ -57,11 +83,18 @@ def window_counts(xs, t) -> np.ndarray:
     through object arrays, so their arithmetic stays exact.  With ext the
     row's positions shifted by -1 followed by the row itself, c_i is the
     number of e in (i, i+n) with ext[e] - ext[i] <= 2t: x_b - x_a, or
-    x_b - (x_a - 1) across the wrap, compared with 2t.  One searchsorted
-    over all rows, row r shifted by 4r so that rows never interleave,
-    guesses each window end; each end then moves by one until that exact
-    test holds for it and fails for the next, so the rounding of the
-    shifted values never decides a tie.
+    x_b - (x_a - 1) across the wrap, compared with 2t.  ext is sorted, so
+    the test holds for e = i+1 ... i+c_i and for no later e.
+
+    Rows of at most OFFSET_COUNT_MAX_N points are counted offset by offset:
+    for k = 1 ... n-1 the test at e = i+k, made on all rows at once, adds
+    one to every c_i it holds for, until an offset that no window reaches.
+    That is at most n - 1 contiguous passes.  Longer rows are searched: one
+    searchsorted over all rows, row r shifted by 4r so that rows never
+    interleave, guesses each window end, in about 15 steps a point in a
+    block; each end then moves by one until the exact test holds for it and
+    fails for the next, so the rounding of the shifted values never decides
+    a tie.  Both make the same exact test, so they give the same counts.
     """
     xs = np.asarray(xs)
     rows = xs.reshape(-1, xs.shape[-1])
@@ -69,6 +102,14 @@ def window_counts(xs, t) -> np.ndarray:
     width = 2 * t
     ext = np.concatenate([rows - 1, rows], axis=1)
     start = ext[:, :n]
+    if n <= OFFSET_COUNT_MAX_N:
+        c = np.zeros(rows.shape, dtype=np.intp)
+        for k in range(1, n):  # the test holds for the first c_i offsets and for no later one
+            reach = ext[:, k:k + n] - start <= width
+            if not reach.any():
+                break
+            c += reach
+        return c.reshape(xs.shape)
     row = np.arange(len(rows))[:, None]
     shifted = (ext + 4 * row).ravel()
     ext = ext.ravel()

@@ -136,12 +136,13 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     with args (message, row) is raised again naming t and the row's
     positions.  The trials are cut from 0 into blocks of
     max(1, BLOCK_POSITIONS // n) rows, which the calling process runs in
-    order.  With p = min(workers, CPUs) > 1, once it has run for
+    order.  With p = min(workers, usable CPUs) > 1, once it has run for
     POOL_AFTER_S with at least as long left at its pace so far, at most p
     processes take the blocks left, about 16 tasks a process; `outcome`
     must then be picklable.  Shorter calls never start a pool.  Either way
     the error of the earliest failing block is raised, and `workers` never
-    changes the result.
+    changes the result.  The usable CPUs are those this process may run on
+    (its affinity mask, where the platform has one), not all the machine's.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -155,7 +156,8 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     rows = max(1, BLOCK_POSITIONS // n)
     starts = range(0, trials, rows)
     blocks = (range(lo, min(lo + rows, trials)) for lo in starts)
-    processes = min(workers, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)
+    processes = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
     counts: Counter = Counter()
     start = time.perf_counter()
     for done, block in enumerate(blocks, 1):
@@ -215,13 +217,28 @@ class Estimate:
     std_error: float
 
 
+def _weighted_sum(pairs) -> float:
+    """sum(value * count) over (value, count) pairs, exact and rounded once.
+
+    Each value, an int or a float, is p / d with d a power of two; the sum
+    is one int over the largest d, and int division rounds correctly.  For
+    floats and for ints below 2^53 this is the float that math.fsum gives
+    over the values repeated count times, at the cost of one term a pair.
+    """
+    ratios = [(value.as_integer_ratio(), count) for value, count in pairs]
+    den = max(d for (_, d), _ in ratios)
+    return sum(p * (den // d) * count for (p, d), count in ratios) / den
+
+
 def _mean_estimate(counts: Counter) -> Estimate:
-    """Mean and standard error of the values of a tally (value -> count)."""
+    """Mean and standard error of the values of a tally (value -> count),
+    the floats that `list_estimate` in tests/reference.py gives over the
+    values of every trial."""
     n = counts.total()
     if n < 2:
         raise DomainError("need at least 2 trials")
-    mean = math.fsum(counts.elements()) / n
-    var = math.fsum((v - mean) ** 2 for v in counts.elements()) / (n - 1)
+    mean = _weighted_sum(counts.items()) / n
+    var = _weighted_sum(((v - mean) ** 2, c) for v, c in counts.items()) / (n - 1)
     return Estimate(mean, math.sqrt(var / n))
 
 

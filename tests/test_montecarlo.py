@@ -121,10 +121,16 @@ def test_tally_starts_at_most_one_process_per_block_and_cpu(monkeypatch):
     assert run_census(6, 0.2, 10, master_seed=4, workers=2).counts == serial
     assert started == []  # far shorter than POOL_AFTER_S: no pool
     monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for usable, workers in (({0}, 64), ({0, 1, 2}, 2), ({0, 1, 2}, 64)):  # as under taskset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        assert run_census(6, 0.2, 10, master_seed=4, workers=workers).counts == serial
+    assert started == [2, 3]  # one usable CPU of 8: no pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask: all CPUs
     for cpus, workers in ((3, 2), (3, 64), (None, 64)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_census(6, 0.2, 10, master_seed=4, workers=workers).counts == serial
-    assert started == [2, 3]
+    assert started == [2, 3, 2, 3]
     with pytest.raises(DomainError):
         run_census(6, 0.2, 10, master_seed=4, workers=0)
 
@@ -146,7 +152,7 @@ def test_tally_starts_no_pool_for_one_stalled_block(monkeypatch):
     monkeypatch.setattr(montecarlo.time, "perf_counter", lambda: now[0])
     monkeypatch.setattr(montecarlo, "_tally_block", first_block_stalls)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     run_census(6, 0.2, 60, master_seed=1, workers=2)
     assert started == []  # the stall predicted 5.3 s more, but only 0.09 s had passed
@@ -172,7 +178,7 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
     monkeypatch.setattr(guard, "_eulers_from_counts",  # wrong first at trial 18, then at 6 more
                         lambda c: np.where(c.sum(1) > 14, -1, euler(c)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     with pytest.raises(InternalInconsistencyError) as serial:
         run_census(6, 0.2, 60, master_seed=1)
@@ -430,7 +436,7 @@ def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(mon
     n, t, seed, _ = EMPTY_WINDOW_CASES[3]
     serial = montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
     assert montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=2) == serial

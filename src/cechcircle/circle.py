@@ -8,11 +8,9 @@ classifier and the Euler DP read, and so do the test references for coverage
 (no empty window) and the complex builder, so each tie is decided once;
 its differences are exact on Fractions and on Philox samples (2^-53 grid).
 It counts one row or a whole block of rows in numpy, on float arrays and on
-object arrays of Fractions alike.  Rows of at most OFFSET_COUNT_MAX_N (20)
-points are counted offset by offset, in at most n - 1 contiguous passes of
-the exact test; in longer rows one searchsorted guesses every window end, in
-about 15 search steps a point, and an exact fix-up of gathers settles each
-tie.  A Monte Carlo sample is counted once, in its block.  The Euler DP
+object arrays of Fractions alike, by one binary search per window end whose
+every probe is that exact test, so no rounded value ever decides a tie.
+A Monte Carlo sample is counted once, in its block.  The Euler DP
 needs nothing else: its chain counts reduce to ancestor tests on a tree read
 from the counts, O(n) steps on random samples, run for all rows of a block
 together.  Only the test references' subset predicate (tests/reference.py)
@@ -51,29 +49,6 @@ class PointConfig:
         return len(self.positions)
 
 
-# `window_counts` counts rows of at most OFFSET_COUNT_MAX_N points offset by
-# offset and searches longer rows.  A pass over one offset is a contiguous
-# subtract, compare and add per position, and the passes stop at the first
-# offset that no window reaches, so their cost grows with n and with t; the
-# search costs about log2(2 * 16 384) = 15 steps a point plus a fix-up of
-# gathers at any n and t.  On sorted full Philox kernel blocks
-# (16 384 // n rows), 2-core Xeon VM, numpy 2.4.6, medians of 12 interleaved
-# rounds of 15 calls, µs a row, search / offsets (rounds the offsets won),
-# at t = 0.1, 0.26 and 0.45:
-#   n =  8  0.69 / 0.22 (12)  0.55 / 0.21 (12)  0.53 / 0.21 (12)
-#   n = 12  0.76 / 0.31 (12)  0.96 / 0.41 (12)  0.78 / 0.41 (12)
-#   n = 16  1.01 / 0.54 (12)  1.02 / 0.73 (12)  1.01 / 0.75 (12)
-#   n = 18  1.49 / 0.65 (12)  1.15 / 0.99 (12)  1.49 / 1.01 (12)
-#   n = 20  1.25 / 0.77 (12)  1.24 / 1.22 (10)  1.59 / 1.24 (12)
-#   n = 22  1.83 / 1.06 (12)  1.52 / 1.60  (0)  1.47 / 1.60  (0)
-#   n = 24  1.55 / 1.03 (12)  1.54 / 1.56  (0)  1.64 / 1.77  (0)
-#   n = 28  1.88 / 1.14 (12)  1.85 / 2.11  (0)  1.69 / 1.87  (0)
-#   n = 32  2.09 / 1.18 (12)  1.30 / 1.91  (0)  1.57 / 2.21  (1)
-# At n = 5 the offsets took 0.09-0.18 µs a row against 0.28-0.44.  Small t
-# stops early and won to n = 32; from n = 22 the covering regime lost.
-OFFSET_COUNT_MAX_N = 20
-
-
 def window_counts(xs, t) -> np.ndarray:
     """For each of the sorted positions xs, how many further points lie in
     the closed forward arc of length 2t starting there (capped at n-1).
@@ -86,42 +61,27 @@ def window_counts(xs, t) -> np.ndarray:
     x_b - (x_a - 1) across the wrap, compared with 2t.  ext is sorted, so
     the test holds for e = i+1 ... i+c_i and for no later e.
 
-    Rows of at most OFFSET_COUNT_MAX_N points are counted offset by offset:
-    for k = 1 ... n-1 the test at e = i+k, made on all rows at once, adds
-    one to every c_i it holds for, until an offset that no window reaches.
-    That is at most n - 1 contiguous passes.  Longer rows are searched: one
-    searchsorted over all rows, row r shifted by 4r so that rows never
-    interleave, guesses each window end, in about 15 steps a point in a
-    block; each end then moves by one until the exact test holds for it and
-    fails for the next, so the rounding of the shifted values never decides
-    a tie.  Both make the same exact test, so they give the same counts.
+    A binary search finds every c_i at once in bit_length(n - 1) probes,
+    each one gather and the exact test.  The end e starts at i, and
+    c_i - (e - i) lies in [0, m] with m = n - 1 at first.  While m > 0, e
+    moves on by d = m - m // 2 where the test holds at e + d; either way
+    c_i - (e - i) then lies in [0, m // 2], the next m.  So no probe passes
+    i + n - 1, inside the row of ext, and no rounded value decides a tie.
     """
     xs = np.asarray(xs)
     rows = xs.reshape(-1, xs.shape[-1])
     n = rows.shape[1]
     width = 2 * t
-    ext = np.concatenate([rows - 1, rows], axis=1)
-    start = ext[:, :n]
-    if n <= OFFSET_COUNT_MAX_N:
-        c = np.zeros(rows.shape, dtype=np.intp)
-        for k in range(1, n):  # the test holds for the first c_i offsets and for no later one
-            reach = ext[:, k:k + n] - start <= width
-            if not reach.any():
-                break
-            c += reach
-        return c.reshape(xs.shape)
-    row = np.arange(len(rows))[:, None]
-    shifted = (ext + 4 * row).ravel()
-    ext = ext.ravel()
-    first = 2 * n * row + np.arange(n)  # flat index of ext[i]
-    c = np.searchsorted(shifted, shifted[first] + width, side="right") - 1 - first
-    np.clip(c, 0, n - 1, out=c)
-    while True:  # ext[first + c] is ext[i + c_i]
-        grow = (c < n - 1) & (ext[first + c + 1] - start <= width)
-        shrink = (c > 0) & ~(ext[first + c] - start <= width)
-        if not (grow.any() or shrink.any()):
-            return c.reshape(xs.shape)
-        c += grow.astype(c.dtype) - shrink
+    start = rows - 1
+    ext = np.concatenate([start, rows], axis=1).ravel()
+    first = 2 * n * np.arange(len(rows))[:, None] + np.arange(n)  # flat index of ext[i]
+    end = first.copy()
+    m = n - 1
+    while m:
+        step = m - m // 2
+        end += (ext[step:][end] - start <= width).astype(np.intp) * step
+        m //= 2
+    return (end - first).reshape(xs.shape)
 
 
 def _eulers_from_counts(counts: np.ndarray) -> np.ndarray:

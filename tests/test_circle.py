@@ -1,7 +1,6 @@
 """Circle geometry, the simplex predicate, window counts, the
 Euler-characteristic DP, coverage, the homology oracle, and the point-file
 format."""
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cechcircle import DomainError, PointConfig, PointFileError, expected_euler_char, load_point_file
-from cechcircle import circle
 from cechcircle.circle import _eulers_from_counts, parse_decimal, window_counts
 from cechcircle.montecarlo import BLOCK_POSITIONS, _philox_rows, estimate_chi
 
@@ -106,19 +104,6 @@ def test_coverage_duality():
 # Window counts: the one reach test
 # ---------------------------------------------------------------------------
 
-def on_both_counting_paths(test):
-    """Run test once with every row counted offset by offset and once with
-    every row searched and fixed up (OFFSET_COUNT_MAX_N at 64, then at 0),
-    so that each path of `window_counts` meets every case."""
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        for cutoff in (64, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(circle, "OFFSET_COUNT_MAX_N", cutoff)
-                test(*args, **kwargs)
-    return run
-
-
 def _reference_counts(xs, t) -> list[int]:
     """O(n^2): further points within closed forward distance 2t, in exact rationals."""
     q = [Fraction(x) for x in xs]
@@ -139,7 +124,6 @@ def philox_grid_wrap_tie(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rational_grid_instance())
-@on_both_counting_paths
 def test_window_counts_match_exact_reference_on_rational_grids(instance):
     config, t = instance
     assert window_counts(config.positions, t).tolist() == _reference_counts(config.positions, t)
@@ -147,7 +131,6 @@ def test_window_counts_match_exact_reference_on_rational_grids(instance):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(philox_grid_wrap_tie())
-@on_both_counting_paths
 def test_window_counts_exact_at_wrap_ties_on_the_philox_grid(instance):
     xs, t = instance
     assert window_counts(xs, t).tolist() == _reference_counts(xs, t)
@@ -187,7 +170,6 @@ def rational_grid_rows(draw):
 @given(philox_grid_rows())
 @example((np.array([[0.25], [0.0]]), 0.1))  # n = 1
 @example((np.array([[0.0, 0.5], [0.25, 0.75]]), 0.5))  # 2t = 1
-@on_both_counting_paths
 def test_window_counts_of_many_rows_match_the_reference_row_by_row(instance):
     xs, t = instance
     assert window_counts(xs, t).tolist() == [_reference_counts(row, t) for row in xs.tolist()]
@@ -195,15 +177,12 @@ def test_window_counts_of_many_rows_match_the_reference_row_by_row(instance):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rational_grid_rows())
-@on_both_counting_paths
 def test_window_counts_of_fraction_rows_match_the_reference_row_by_row(instance):
     xs, t = instance
     assert window_counts(xs, t).tolist() == [_reference_counts(row, t) for row in xs.tolist()]
 
 
-@on_both_counting_paths
 def test_window_counts_of_a_large_block_leave_no_tie_to_rounding():
-    # row r of a block is searched shifted by 4r, which rounds away low bits;
     # every row here has ties or near-ties that only the exact test decides
     rng = np.random.default_rng(71)
     w = int(rng.integers(1, 2**53))  # 2t = w 2^-53
@@ -218,17 +197,26 @@ def test_window_counts_of_a_large_block_leave_no_tie_to_rounding():
         assert window_counts(decimals, t).tolist() == [window_counts(row, t).tolist() for row in decimals]
 
 
-@pytest.mark.parametrize("t", [0.1, 0.26, 0.45])
-def test_both_counting_paths_agree_on_full_blocks_either_side_of_the_cutoff(monkeypatch, t):
-    for n in (circle.OFFSET_COUNT_MAX_N, circle.OFFSET_COUNT_MAX_N + 1):
+@pytest.mark.parametrize("t", [0.1, 0.26, 0.45, 0.499])
+def test_window_counts_of_full_blocks_match_the_reference_where_the_probe_count_grows(t):
+    # the search takes bit_length(n - 1) probes: 4 at n = 16, 5 at n = 17,
+    # 9 at n = 257; near t = 1/2 many windows hold every point
+    for n, compared in ((16, 32), (17, 32), (257, 1)):
         block = _philox_rows(3, np.arange(BLOCK_POSITIONS // n, dtype=np.uint64), n)
         block.sort(axis=1)
-        counts = []
-        for cutoff in (64, 0):  # every row counted offset by offset, then every row searched
-            monkeypatch.setattr(circle, "OFFSET_COUNT_MAX_N", cutoff)
-            counts.append(window_counts(block, t))
-        assert counts[0].dtype == counts[1].dtype
-        assert np.array_equal(*counts)
+        counts = window_counts(block, t)
+        assert counts.dtype == np.intp
+        for row in range(len(block) - 1, -1, -(len(block) // compared)):  # the last row, then every so many
+            assert counts[row].tolist() == _reference_counts(block[row].tolist(), t)
+
+
+def test_window_counts_take_search_steps_of_256_and_more():
+    # n = 513 steps by 256, 128, ..., 1, 1, and at 2t = 1 every step is taken;
+    # a step held in 8 bits would lose the first
+    n = 513
+    block = _philox_rows(3, np.arange(BLOCK_POSITIONS // n, dtype=np.uint64), n)
+    block.sort(axis=1)
+    assert (window_counts(block, 0.5) == n - 1).all()
 
 
 # ---------------------------------------------------------------------------

@@ -556,7 +556,8 @@ def test_estimate_coverage_with_arcs_of_length_one_or_more():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.dictionaries(st.integers(-10**6, 10**6), st.integers(1, 1000), min_size=1, max_size=20))
 def test_estimate_from_the_tally_equals_the_per_trial_list(tally):
-    # the same fsum over the same values, streamed from the tally
+    # value * count summed exactly over the distinct values and rounded once
+    # is the float that the list's fsum over every trial's value gives
     counts = Counter(tally)
     if counts.total() < 2:
         with pytest.raises(DomainError):

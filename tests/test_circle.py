@@ -210,6 +210,20 @@ def test_window_counts_of_full_blocks_match_the_reference_where_the_probe_count_
             assert counts[row].tolist() == _reference_counts(block[row].tolist(), t)
 
 
+@pytest.mark.parametrize("t", [0.1, 0.26, 0.45])
+def test_both_counting_paths_agree_on_full_blocks_either_side_of_the_cutoff(t):
+    # a float block and the same block as Fractions (object arrays, exact
+    # arithmetic) give the same counts; n = 16 and 17 lie either side of the
+    # cutoff where the search grows from 4 probes to 5
+    for n in (16, 17):
+        block = _philox_rows(3, np.arange(BLOCK_POSITIONS // n, dtype=np.uint64), n)
+        block.sort(axis=1)
+        exact = np.array([[Fraction(x) for x in row] for row in block.tolist()], dtype=object)
+        counts = [window_counts(block, t), window_counts(exact, Fraction(t))]
+        assert counts[0].dtype == counts[1].dtype
+        assert np.array_equal(*counts)
+
+
 def test_window_counts_take_search_steps_of_256_and_more():
     # n = 513 steps by 256, 128, ..., 1, 1, and at 2t = 1 every step is taken;
     # a step held in 8 bits would lose the first

@@ -72,18 +72,6 @@ def _write_table(columns: list[str], rows, fmt: str, output: str | None):
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
-def _workers(args) -> int:
-    """--threads, else CECHCIRCLE_THREADS, else 1; a positive integer."""
-    source = "CECHCIRCLE_THREADS" if args.threads is None else "--threads"
-    raw = os.environ.get(source, "1") if args.threads is None else str(args.threads)
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise CechCircleError(f"{source} must be a positive integer, got {raw!r}")
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -142,8 +130,7 @@ def cmd_spikes(args) -> int:
 
 
 def cmd_census(args) -> int:
-    workers = _workers(args)
-    census = run_census(args.n, args.t, args.trials, args.seed, workers=workers)
+    census = run_census(args.n, args.t, args.trials, args.seed, workers=args.threads)
     _emit(census.to_json() + "\n", args.output)
     return EXIT_OK
 
@@ -173,9 +160,8 @@ def _report(report, output: str | None) -> int:
 INT = {"type": int, "required": True}
 FLOAT = {"type": _finite_float, "required": True}
 FORMAT = {"--format": {"choices": ["csv", "json"], "default": "csv"}}
-TRIALS = {"--trials": INT, "--seed": INT, "--threads": {
-    "type": int, "help": "worker processes for the trials "
-    "(default: CECHCIRCLE_THREADS, else 1); results do not depend on it"}}
+TRIALS = {"--trials": INT, "--seed": INT, "--threads": {"type": int, "default": 1,
+    "help": "worker processes for the trials (default: 1); results do not depend on it"}}
 
 # command -> (summary, handler, flags); every command also takes --output.
 # Handlers look up run_census and verify_theorem_* when they run.
@@ -189,17 +175,17 @@ COMMANDS = {
     "classify": ("homotopy type of a point file", cmd_classify, {
         "--input": {"required": True}, "--t": {"type": parse_decimal, "required": True}}),
     "verify a1": ("E[chi] against the closed form", lambda a: _report(
-        verify_theorem_a1(a.n, a.t, a.trials, a.seed, _workers(a)), a.output), {
+        verify_theorem_a1(a.n, a.t, a.trials, a.seed, a.threads), a.output), {
         "--n": INT, "--t": FLOAT, **TRIALS}),
     "verify a2": ("Betti sandwich", lambda a: _report(verify_theorem_a2(
-        a.k, a.n, a.trials, a.seed, t=a.t, margin=a.margin, workers=_workers(a)), a.output), {
+        a.k, a.n, a.trials, a.seed, t=a.t, margin=a.margin, workers=a.threads), a.output), {
         "--k": INT, "--n": INT, "--t": {"type": _finite_float},
         "--margin": {"type": _finite_float, "default": 0.05}, **TRIALS}),
     "verify b": ("odd-sphere plateau", lambda a: _report(verify_theorem_b(
-        a.k, a.n, a.t, a.trials, a.seed, _workers(a)), a.output), {
+        a.k, a.n, a.t, a.trials, a.seed, a.threads), a.output), {
         "--k": INT, "--n": INT, "--t": FLOAT, **TRIALS}),
     "verify c": ("even-wedge spike window", lambda a: _report(verify_theorem_elder_c(
-        a.k, a.n, a.trials, a.seed, delta=a.delta, slack=a.slack, workers=_workers(a)), a.output), {
+        a.k, a.n, a.trials, a.seed, delta=a.delta, slack=a.slack, workers=a.threads), a.output), {
         "--k": INT, "--n": INT, "--delta": {"type": _finite_float},
         "--slack": {"type": _finite_float, "default": 0.1}, **TRIALS}),
 }

@@ -145,6 +145,12 @@ class SpikeAnalysis:
     window_rho: tuple[float, float]
 
 
+def spike_center(m: int, n: int) -> float:
+    """t = n(m-1)/(2m(n-1)), the centre of the m-th Euler spike, correctly
+    rounded: Python divides the two ints exactly and rounds once."""
+    return (m - 1) * n / (2 * (n - 1) * m)
+
+
 def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     """Height bounds and localization window of the m-th Euler spike.
 
@@ -160,7 +166,6 @@ def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     if not 0 < epsilon < 1:
         raise DomainError(f"need epsilon in (0,1), got {epsilon}")
 
-    center_t = (m - 1) * n / (2 * (n - 1) * m)
     lg_a = (
         _log_comb(n, m)
         + (m - 1) * math.log(m - 1)
@@ -176,7 +181,7 @@ def spike_analysis(m: int, n: int, epsilon: float = 0.1) -> SpikeAnalysis:
     center_rho = (n - m) / ((n - 1) * m)
     half = epsilon * math.sqrt(m - 1) / n
     window = (center_rho * (1 - half), center_rho * (1 + half))
-    return SpikeAnalysis(m, n, center_t, a_mn, b_mn, omega(m), window)
+    return SpikeAnalysis(m, n, spike_center(m, n), a_mn, b_mn, omega(m), window)
 
 
 # ---------------------------------------------------------------------------

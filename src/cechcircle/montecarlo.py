@@ -47,6 +47,7 @@ from .exact import (
     elder_c_bounds,
     expected_euler_char,
     omega,
+    spike_center,
     theorem_b_params,
 )
 from .homotopy import HomotopyType
@@ -149,7 +150,7 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     if n > 2**24:  # one row of 2^24 points already peaks at about 1.3 GB
         raise DomainError(f"n must be <= 2^24, got {n}")
     if workers < 1:
-        raise DomainError("workers must be >= 1")
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
     run = partial(_tally_block, outcome, n, t, master_seed)
@@ -419,13 +420,13 @@ def verify_theorem_a2(
         raise DomainError("k must be >= 2")
     if n < 2:
         raise DomainError("n must be >= 2")
-    if margin < 0:
-        raise DomainError(f"margin must be >= 0, got {margin}")
+    if not 0 <= margin < math.inf:  # nan fails too
+        raise DomainError(f"margin must be >= 0 and finite, got {margin}")
     if t is None:
         if not n > k:
             raise DomainError(f"verify a2 needs n > k without --t, so that its default "
                               f"t = n(k-1)/(2k(n-1)) lies below 1/2; got n={n}, k={k}")
-        t = (k - 1) * n / (2 * (n - 1) * k)  # spike center
+        t = spike_center(k, n)
     chi_norm = expected_euler_char(n, t) / n
     est = estimate_betti(n, t, 2 * k - 2, trials, master_seed, workers)
     b_norm = est.mean / n
@@ -464,13 +465,13 @@ def verify_theorem_elder_c(
 ) -> VerifyReport:
     """Empirical B_{k,delta} inside the analytic window, with statistical slack.
 
-    Runs at the window center t = (1 - (n-k)/((n-1)k))/2, i.e. at
-    t = n(k-1)/(2k(n-1)).  The published Theorem C center n(k+1)/(2k(n-1))
+    Runs at the window center t = n(k-1)/(2k(n-1)) (`spike_center`), where
+    1 - 2t = (n-k)/((n-1)k).  The published Theorem C center n(k+1)/(2k(n-1))
     exceeds 1/2, so the value consistent with the B_{k,delta} window is used.
     That t lies in k's band, floor(1 / (1 - 2t)) = k, iff n > k^2.
     """
-    if slack < 0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
+    if not 0 <= slack < math.inf:  # nan fails too
+        raise DomainError(f"slack must be >= 0 and finite, got {slack}")
     if delta is None:
         delta = k * omega(k) / 2
     beta_lower, beta_upper = elder_c_bounds(k, delta)
@@ -479,8 +480,7 @@ def verify_theorem_elder_c(
             f"verify c needs n > k^2, so that its t = n(k-1)/(2k(n-1)) lies in "
             f"k's band; got n={n}, k={k}"
         )
-    rho_center = (n - k) / ((n - 1) * k)
-    t = (1 - rho_center) / 2
+    t = spike_center(k, n)
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
     est = estimate_B(census, k, delta)
     lo = beta_lower - slack

@@ -263,13 +263,17 @@ def test_census_bad_trials_usage_error(capsys):
     assert code == 2
 
 
-def test_census_bad_threads_env_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CECHCIRCLE_THREADS", "abc")
-    code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
-                             "--trials", "3", "--seed", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "CECHCIRCLE_THREADS" in err
+def test_no_environment_variable_stands_in_for_a_flag(capsys, monkeypatch):
+    # --threads, like every flag, is read from argv alone
+    argv = ["census", "--n", "5", "--t", "0.2", "--trials", "3", "--seed", "1"]
+    _, plain, _ = run_cli(capsys, *argv)
+    for flag in COMMAND_FLAGS["census"].split():
+        monkeypatch.setenv("CECHCIRCLE_" + flag[2:].upper(), "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    a, b = json.loads(plain), json.loads(out)
+    a.pop("metadata"), b.pop("metadata")
+    assert a == b
 
 
 def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
@@ -282,13 +286,15 @@ def test_census_internal_error_is_a_runtime_failure(capsys, monkeypatch):
     assert err.startswith("internal error: Euler cross-check failed")
 
 
-def test_census_zero_threads_env_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CECHCIRCLE_THREADS", "0")
-    code, out, err = run_cli(capsys, "census", "--n", "5", "--t", "0.2",
-                             "--trials", "3", "--seed", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: CECHCIRCLE_THREADS must be a positive integer")
+@pytest.mark.parametrize("command", [["census"], ["verify", "a1"]])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_usage_error_before_any_trial(capsys, monkeypatch, command, threads):
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally_block", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, *command, "--n", "5", "--t", "0.2", "--trials", "3",
+                             "--seed", "1", "--threads", threads)
+    assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {threads}\n")
 
 
 # ---------------------------------------------------------------------------

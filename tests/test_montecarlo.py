@@ -131,7 +131,7 @@ def test_tally_starts_at_most_one_process_per_block_and_cpu(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_census(6, 0.2, 10, master_seed=4, workers=workers).counts == serial
     assert started == [2, 3, 2, 3]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^workers must be >= 1, got 0$"):
         run_census(6, 0.2, 10, master_seed=4, workers=0)
 
 
@@ -419,8 +419,13 @@ def test_empty_window_count_rejects_windows_two_percent_too_wide(monkeypatch, n,
     assert _empty_window_p_value(n, t, seed) < EMPTY_WINDOW_ALPHA
 
 
-def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(monkeypatch):
-    # 20 000 trials in 500 blocks of 40 rows, all but the first in a real pool
+def _pools_started(monkeypatch, workers):
+    """The sizes of the process pools that `_tally` starts from here on.
+
+    At two workers a real pool takes every block after the first: no wait
+    (POOL_AFTER_S 0), blocks of 4 096 positions and two usable CPUs,
+    whatever the machine has.  A pool of min(2, blocks left) processes, so a
+    recorded 2 means the call ran at least three blocks."""
     import concurrent.futures
     import os
 
@@ -433,12 +438,21 @@ def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(mon
             started.append(max_workers)
             super().__init__(max_workers)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    if workers == 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
+        monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
+    return started
+
+
+def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(monkeypatch):
+    # 20 000 trials in 500 blocks of 40 rows, all but the first in a real pool
+    from cechcircle import montecarlo
+
     n, t, seed, _ = EMPTY_WINDOW_CASES[3]
     serial = montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
-    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
+    started = _pools_started(monkeypatch, workers=2)
     assert montecarlo._tally(_empty_windows, n, t, 20_000, seed, workers=2) == serial
     assert started == [2]
 
@@ -650,6 +664,19 @@ def test_verify_b_rejects_t_outside_window():
         verify_theorem_b(0, 50, 0.3, 100, master_seed=1)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_verify_rejects_a_margin_or_slack_that_is_not_finite(monkeypatch, value):
+    # inf would make the window vacuous (and write -Infinity into the
+    # report), nan would fail every comparison; neither runs a trial
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(DomainError, match=r"^margin must be >= 0"):
+        verify_theorem_a2(2, 50, 10, 1, margin=value)
+    with pytest.raises(DomainError, match=r"^slack must be >= 0"):
+        verify_theorem_elder_c(2, 100, 10, 1, slack=value)
+
+
 def test_verify_elder_c_small():
     report = verify_theorem_elder_c(2, 100, 1000, master_seed=42)
     assert report.passed
@@ -659,7 +686,7 @@ def test_verify_elder_c_small():
 
 
 # ---------------------------------------------------------------------------
-# Trial engine: payloads pinned bit for bit, at one and at two workers
+# Trial engine: payloads pinned bit for bit, at one worker and in a pool of two
 # ---------------------------------------------------------------------------
 
 GOLDEN_DETAILS = {
@@ -679,7 +706,7 @@ GOLDEN_DETAILS = {
         "frequency": 1.0, "std_error": 0.0, "bound": 0.9999999994237213, "r_prime": 0.125,
     }),
     "c": (verify_theorem_elder_c, (2, 100, 300, 3), {
-        "k": 2, "n": 100, "t": 0.2525252525252525, "trials": 300, "master_seed": 3,
+        "k": 2, "n": 100, "t": 0.25252525252525254, "trials": 300, "master_seed": 3,
         "delta": 0.18393972058572122, "slack": 0.1,
         "B_empirical": 1.0, "std_error": 0.0,
         "beta_lower": 0.22539967356056415, "beta_upper": 2.0,
@@ -693,9 +720,11 @@ GOLDEN_CENSUS = {1: 2, 2: 15, 3: 62, 4: 108, 5: 114, 6: 76, 7: 21, 8: 2}
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("theorem", sorted(GOLDEN_DETAILS))
-def test_verify_payloads_pinned(theorem, workers):
+def test_verify_payloads_pinned(monkeypatch, theorem, workers):
     verify, args, details = GOLDEN_DETAILS[theorem]
+    started = _pools_started(monkeypatch, workers)
     assert verify(*args, workers=workers).details == details
+    assert started == ([2] if workers == 2 else [])
 
 
 # verify a1 at the parameters of the chi_dp benchmark workload, where the gap
@@ -709,12 +738,16 @@ A1_N400_DETAILS = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_verify_a1_n400_payload_pinned(workers):
+def test_verify_a1_n400_payload_pinned(monkeypatch, workers):
+    started = _pools_started(monkeypatch, workers)
     assert verify_theorem_a1(400, 0.2525, 200, 5, workers=workers).details == A1_N400_DETAILS
+    assert started == ([2] if workers == 2 else [])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_census_counts_pinned(workers):
+def test_census_counts_pinned(monkeypatch, workers):
+    started = _pools_started(monkeypatch, workers)
     census = run_census(30, 0.26, 400, 11, workers=workers)
     assert census.counts == {HomotopyType.wedge_even(a, 1): c for a, c in GOLDEN_CENSUS.items()}
     assert census.chi_checked == 400
+    assert started == ([2] if workers == 2 else [])

@@ -7,9 +7,10 @@ draws n uniform points from an independent Philox stream keyed by
 returns the multiset of per-sample outcomes.  Its one unit of work is a
 block of trials of about BLOCK_POSITIONS (16 384) positions, large enough
 that each numpy call costs more in work than in call overhead; the calling
-process runs the blocks in order, and a process pool takes those left once
-a call runs long.  For n up to PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs
-Philox4x64-10 in numpy integer arithmetic on every row of the block at once,
+process runs the blocks in order, or a process pool runs them all when the
+call holds at least POOL_POSITIONS positions.  For n up to
+PHILOX_KERNEL_MAX_N (32), `_philox_rows` runs Philox4x64-10 in numpy
+integer arithmetic on every row of the block at once,
 each of its four lanes a (counter block, row) array, so that every operand
 is contiguous or broadcasts along the outer axis; for larger n, where that
 costs more than it saves, one Philox generator per block is reset to each
@@ -53,13 +54,25 @@ from .exact import (
 from .homotopy import HomotopyType
 
 GENERATOR_ID = "numpy-philox4x64"
-# `_tally` starts a process pool only once the calling process has spent this
-# many seconds on the trials and at least as long again is left.  On a
-# 2-vCPU VM a pool of two costs about 13 ms and 4 000 page faults a call, and
-# ties the call's time to the load on the second core: a 100-trial census at
-# n = 100 (about 20 ms) ran no faster with it, and its time varied more.  The
-# absolute wait keeps one stalled early block from starting a pool.
-POOL_AFTER_S = 0.1
+# `_tally` hands a call's blocks to a process pool from the first block when
+# the call holds at least this many positions (trials x n) and p = min(workers,
+# usable CPUs, blocks) > 1; smaller calls run serially.  Serial time over
+# that of a pool of 2 started at the first block, on a 2-core Xeon VM at
+# numpy 2.4, t = 0.2525, medians of 5 alternating calls, at 2^18 / 2^19 /
+# 2^20 / 2^21 positions, in each of two runs:
+#   census n = 5       0.70 0.80 1.71 1.62 | 1.34 1.51 1.56 2.05
+#   census n = 100     1.16 1.32 1.57 1.43 | 1.07 1.43 1.48 1.55
+#   census n = 400     0.89 1.45 1.76 1.44 | 0.94 1.16 1.31 1.65
+#   census n = 1 000   1.04 1.11 1.38 1.73 | 1.15 1.13 2.01 2.22
+#   census n = 10 000  1.17 1.55 1.93 1.79 | 0.93 1.32 1.45 1.83
+#   a1     n = 5       1.12 1.50 1.63 1.94 | 1.23 1.39 1.79 1.97
+#   a1     n = 100     0.76 1.33 1.56 1.75 | 1.07 1.28 1.75 1.80
+#   a1     n = 400     0.82 1.02 1.45 1.66 | 0.78 1.16 1.70 1.65
+#   a1     n = 1 000   1.03 1.41 1.61 1.55 | 0.96 1.30 1.23 1.85
+#   a1     n = 10 000  0.91 1.25 1.25 1.65 | 0.84 1.07 1.22 1.49
+# (census: the cross-checked census outcome; a1: `_eulers`).  2^20 is the
+# smallest power of two at which the pool won every case.
+POOL_POSITIONS = 2**20
 # A block of trials holds about this many positions (rows = max(1, BLOCK_POSITIONS // n)).
 # Every stage makes a fixed number of numpy calls per block, and a uint64
 # ufunc costs about 2 µs on 1 600 elements and 6-7 µs on 13 000, so small
@@ -136,14 +149,15 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     each result with its number of rows.  An InternalInconsistencyError
     with args (message, row) is raised again naming t and the row's
     positions.  The trials are cut from 0 into blocks of
-    max(1, BLOCK_POSITIONS // n) rows, which the calling process runs in
-    order.  With p = min(workers, usable CPUs) > 1, once it has run for
-    POOL_AFTER_S with at least as long left at its pace so far, at most p
-    processes take the blocks left, about 16 tasks a process; `outcome`
-    must then be picklable.  Shorter calls never start a pool.  Either way
-    the error of the earliest failing block is raised, and `workers` never
-    changes the result.  The usable CPUs are those this process may run on
-    (its affinity mask, where the platform has one), not all the machine's.
+    max(1, BLOCK_POSITIONS // n) rows.  With p = min(workers, usable CPUs,
+    blocks) > 1 and trials * n >= POOL_POSITIONS, a pool of p processes
+    runs every block, about 16 tasks a process; `outcome` must then be
+    picklable.  Otherwise the calling process runs the blocks in order, so
+    the pool and its size follow from (n, trials, workers, usable CPUs)
+    alone.  Either way the error of the earliest failing block is raised,
+    and `workers` never changes the result.  The usable CPUs are those this
+    process may run on (its affinity mask, where the platform has one), not
+    all the machine's.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -158,22 +172,17 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     starts = range(0, trials, rows)
     blocks = (range(lo, min(lo + rows, trials)) for lo in starts)
     affinity = getattr(os, "sched_getaffinity", None)
-    processes = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    processes = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1, len(starts))
     counts: Counter = Counter()
-    start = time.perf_counter()
-    for done, block in enumerate(blocks, 1):
-        counts.update(run(block))
-        elapsed = time.perf_counter() - start
-        if processes > 1 and elapsed > POOL_AFTER_S and elapsed / done * (len(starts) - done) > POOL_AFTER_S:
-            break
-    else:
-        return counts
-    from concurrent.futures import ProcessPoolExecutor
+    if processes > 1 and trials * n >= POOL_POSITIONS:
+        from concurrent.futures import ProcessPoolExecutor
 
-    left = len(starts) - done
-    with ProcessPoolExecutor(max_workers=min(processes, left)) as pool:
-        for tally in pool.map(run, blocks, chunksize=-(-left // (16 * processes))):
-            counts.update(tally)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            for tally in pool.map(run, blocks, chunksize=-(-len(starts) // (16 * processes))):
+                counts.update(tally)
+    else:
+        for block in blocks:
+            counts.update(run(block))
     return counts
 
 
@@ -423,9 +432,9 @@ def verify_theorem_a2(
     if not 0 <= margin < math.inf:  # nan fails too
         raise DomainError(f"margin must be >= 0 and finite, got {margin}")
     if t is None:
-        if not n > k:
-            raise DomainError(f"verify a2 needs n > k without --t, so that its default "
-                              f"t = n(k-1)/(2k(n-1)) lies below 1/2; got n={n}, k={k}")
+        if not n > k * k:
+            raise DomainError(f"verify a2 needs n > k^2 without --t, so that its default "
+                              f"t = n(k-1)/(2k(n-1)) lies in k's band; got n={n}, k={k}")
         t = spike_center(k, n)
     chi_norm = expected_euler_char(n, t) / n
     est = estimate_betti(n, t, 2 * k - 2, trials, master_seed, workers)

@@ -470,15 +470,17 @@ def test_verify_c_with_n_at_most_k_squared_usage_error(capsys, monkeypatch, n):
 
 @pytest.mark.parametrize("k", ["2", "3"])
 def test_verify_a2_with_n_at_most_k_and_no_t_usage_error(capsys, monkeypatch, k):
-    # its default t = n(k-1)/(2k(n-1)) lies below 1/2 iff n > k; no trial runs
+    # its default t = n(k-1)/(2k(n-1)) lies in k's band iff n > k^2 (n = 8 at
+    # k = 3 would run at t = 0.381, in band 4); no trial runs
     from cechcircle import montecarlo
 
     monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
-    code, out, err = run_cli(capsys, "verify", "a2", "--k", k, "--n", k, "--trials", "5", "--seed", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: verify a2 needs n > k without --t")
-    assert f"n={k}, k={k}" in err
+    for n in {"2": ["2", "3", "4"], "3": ["3", "8", "9"]}[k]:
+        code, out, err = run_cli(capsys, "verify", "a2", "--k", k, "--n", n, "--trials", "5", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify a2 needs n > k^2 without --t, so that its default t")
+        assert f"n={n}, k={k}" in err
 
 
 def test_verify_bad_theorem_name(capsys):

@@ -88,9 +88,9 @@ def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
     assert rows == [4096 // 30]  # the first block of 136 samples, not all 400
 
 
-def _in_process_pool(started):
-    """A stand-in for ProcessPoolExecutor that records its size and runs the
-    blocks in this process."""
+def _in_process_pool(started, mapped=None):
+    """A stand-in for ProcessPoolExecutor that records its size, and in
+    `mapped` the blocks it is given, and runs them in this process."""
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -103,6 +103,9 @@ def _in_process_pool(started):
             return False
 
         def map(self, fn, blocks, chunksize):
+            blocks = list(blocks)
+            if mapped is not None:
+                mapped.extend(blocks)
             return map(fn, blocks)
 
     return InProcessPool
@@ -119,8 +122,8 @@ def test_tally_starts_at_most_one_process_per_block_and_cpu(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 10 blocks
     serial = run_census(6, 0.2, 10, master_seed=4).counts
     assert run_census(6, 0.2, 10, master_seed=4, workers=2).counts == serial
-    assert started == []  # far shorter than POOL_AFTER_S: no pool
-    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
+    assert started == []  # 60 positions, far under POOL_POSITIONS: no pool
+    monkeypatch.setattr(montecarlo, "POOL_POSITIONS", 60)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for usable, workers in (({0}, 64), ({0, 1, 2}, 2), ({0, 1, 2}, 64)):  # as under taskset
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
@@ -144,8 +147,8 @@ def test_tally_starts_no_pool_for_one_stalled_block(monkeypatch):
     now = [0.0]
     block = montecarlo._tally_block
 
-    def first_block_stalls(*args):  # 0.09 s, then 0.1 ms a block
-        now[0] += 0.09 if now[0] == 0 else 1e-4
+    def first_block_stalls(*args):  # 1 s, then 0.1 ms a block
+        now[0] += 1.0 if now[0] == 0 else 1e-4
         return block(*args)
 
     started = []
@@ -155,19 +158,43 @@ def test_tally_starts_no_pool_for_one_stalled_block(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     run_census(6, 0.2, 60, master_seed=1, workers=2)
-    assert started == []  # the stall predicted 5.3 s more, but only 0.09 s had passed
+    assert started == []  # 360 positions, under POOL_POSITIONS: the stall has no say
+
+
+def test_tally_pools_every_block_by_the_call_size_alone(monkeypatch):
+    # no clock is read: whether a pool starts, and its size, follow from
+    # (n, trials, workers, usable CPUs)
+    import concurrent.futures
+    import os
+
+    from cechcircle import montecarlo
+
+    started, mapped = [], []
+    monkeypatch.setattr(montecarlo.time, "perf_counter", lambda: pytest.fail("a clock was read"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started, mapped))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4 * 6)  # 4-row blocks: 10 trials in 3 blocks
+    serial = montecarlo._tally(montecarlo._eulers, 6, 0.2, 10, 4, workers=1)
+    monkeypatch.setattr(montecarlo, "POOL_POSITIONS", 6 * 10 + 1)  # one position more than the call
+    assert montecarlo._tally(montecarlo._eulers, 6, 0.2, 10, 4, workers=8) == serial
+    assert started == mapped == []
+    monkeypatch.setattr(montecarlo, "POOL_POSITIONS", 6 * 10)
+    for workers in (2, 8):
+        assert montecarlo._tally(montecarlo._eulers, 6, 0.2, 10, 4, workers=workers) == serial
+    assert started == [2, 3]  # min(workers, 4 CPUs, 3 blocks)
+    assert mapped == [range(0, 4), range(4, 8), range(8, 10)] * 2  # every block, block 0 included
 
 
 def test_tally_in_a_pool_matches_serial(monkeypatch):
     from cechcircle import montecarlo
 
-    monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)  # a real pool after the first block
+    monkeypatch.setattr(montecarlo, "POOL_POSITIONS", 200 * 12)  # a real pool runs every block
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4 * 12)  # 4-row blocks: 50 blocks
     assert run_census(12, 0.2, 200, master_seed=9, workers=2).counts == \
         run_census(12, 0.2, 200, master_seed=9).counts
 
 
-def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
+def test_tally_raises_the_serial_error_in_a_pool(monkeypatch):
     import concurrent.futures
     import os
 
@@ -182,8 +209,8 @@ def test_tally_raises_the_serial_error_after_the_switch_to_a_pool(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 6)  # one-row blocks: 60 blocks
     with pytest.raises(InternalInconsistencyError) as serial:
         run_census(6, 0.2, 60, master_seed=1)
-    for after in (0.0, 10.0):  # the pool runs all blocks but the first, or none
-        monkeypatch.setattr(montecarlo, "POOL_AFTER_S", after)
+    for size in (360, 361):  # the pool runs every block, or none
+        monkeypatch.setattr(montecarlo, "POOL_POSITIONS", size)
         with pytest.raises(InternalInconsistencyError) as pooled:
             run_census(6, 0.2, 60, master_seed=1, workers=2)
         assert str(pooled.value) == str(serial.value)
@@ -422,10 +449,10 @@ def test_empty_window_count_rejects_windows_two_percent_too_wide(monkeypatch, n,
 def _pools_started(monkeypatch, workers):
     """The sizes of the process pools that `_tally` starts from here on.
 
-    At two workers a real pool takes every block after the first: no wait
-    (POOL_AFTER_S 0), blocks of 4 096 positions and two usable CPUs,
-    whatever the machine has.  A pool of min(2, blocks left) processes, so a
-    recorded 2 means the call ran at least three blocks."""
+    At two workers a real pool runs every block of every call of two or more
+    blocks: blocks of 4 096 positions, POOL_POSITIONS 4 096 and two usable
+    CPUs, whatever the machine has.  A pool of min(2, blocks) processes, so
+    a recorded 2 means the call ran at least two blocks."""
     import concurrent.futures
     import os
 
@@ -441,13 +468,13 @@ def _pools_started(monkeypatch, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     if workers == 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(montecarlo, "POOL_AFTER_S", 0.0)
+        monkeypatch.setattr(montecarlo, "POOL_POSITIONS", 4096)
         monkeypatch.setattr(montecarlo, "BLOCK_POSITIONS", 4096)
     return started
 
 
 def test_empty_window_tally_is_the_same_in_a_pool_and_at_a_second_block_size(monkeypatch):
-    # 20 000 trials in 500 blocks of 40 rows, all but the first in a real pool
+    # 20 000 trials in 500 blocks of 40 rows, all in a real pool
     from cechcircle import montecarlo
 
     n, t, seed, _ = EMPTY_WINDOW_CASES[3]

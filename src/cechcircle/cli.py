@@ -178,9 +178,8 @@ COMMANDS = {
         verify_theorem_a1(a.n, a.t, a.trials, a.seed, a.threads), a.output), {
         "--n": INT, "--t": FLOAT, **TRIALS}),
     "verify a2": ("Betti sandwich", lambda a: _report(verify_theorem_a2(
-        a.k, a.n, a.trials, a.seed, t=a.t, margin=a.margin, workers=a.threads), a.output), {
-        "--k": INT, "--n": INT, "--t": {"type": _finite_float},
-        "--margin": {"type": _finite_float, "default": 0.05}, **TRIALS}),
+        a.k, a.n, a.trials, a.seed, margin=a.margin, workers=a.threads), a.output), {
+        "--k": INT, "--n": INT, "--margin": {"type": _finite_float, "default": 0.05}, **TRIALS}),
     "verify b": ("odd-sphere plateau", lambda a: _report(verify_theorem_b(
         a.k, a.n, a.t, a.trials, a.seed, a.threads), a.output), {
         "--k": INT, "--n": INT, "--t": FLOAT, **TRIALS}),

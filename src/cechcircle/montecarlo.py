@@ -420,22 +420,32 @@ def verify_theorem_a1(n: int, t: float, trials: int, master_seed: int, workers: 
     })
 
 
-def verify_theorem_a2(
-    k: int, n: int, trials: int, master_seed: int,
-    t: float | None = None, margin: float = 0.05, workers: int = 1,
-) -> VerifyReport:
-    """Sandwich: chi/n - margin <= b_(2k-2)/n <= chi/n with exact chi."""
+def _spike_t(theorem: str, k: int, n: int) -> float:
+    """The centre t = n(k-1)/(2k(n-1)) of the k-th Euler spike
+    (`spike_center`), where `verify a2` and `verify c` sample; there
+    1 - 2t = (n-k)/((n-1)k), so t lies in k's band, floor(1 / (1 - 2t)) = k,
+    iff n > k^2."""
     if k < 2:
         raise DomainError("k must be >= 2")
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    if not n > k * k:
+        raise DomainError(f"verify {theorem} needs n > k^2, so that its t = n(k-1)/(2k(n-1)) "
+                          f"lies in k's band; got n={n}, k={k}")
+    return spike_center(k, n)
+
+
+def verify_theorem_a2(
+    k: int, n: int, trials: int, master_seed: int, margin: float = 0.05, workers: int = 1,
+) -> VerifyReport:
+    """Sandwich: chi/n - margin <= b_(2k-2)/n <= chi/n with exact chi, at the
+    spike centre (`_spike_t`).  b_(2k-2) sits about one per sample below chi,
+    so for n * margin <= 1 the lower side would test that offset, not the
+    theorem; such a call is refused."""
+    t = _spike_t("a2", k, n)
     if not 0 <= margin < math.inf:  # nan fails too
         raise DomainError(f"margin must be >= 0 and finite, got {margin}")
-    if t is None:
-        if not n > k * k:
-            raise DomainError(f"verify a2 needs n > k^2 without --t, so that its default "
-                              f"t = n(k-1)/(2k(n-1)) lies in k's band; got n={n}, k={k}")
-        t = spike_center(k, n)
+    if n * margin <= 1:
+        raise DomainError(f"verify a2 needs n > 1/margin, as b_(2k-2) sits about one per sample below "
+                          f"chi; got n={n}, margin={margin}, 1/margin={1 / margin if margin else math.inf}")
     chi_norm = expected_euler_char(n, t) / n
     est = estimate_betti(n, t, 2 * k - 2, trials, master_seed, workers)
     b_norm = est.mean / n
@@ -474,22 +484,16 @@ def verify_theorem_elder_c(
 ) -> VerifyReport:
     """Empirical B_{k,delta} inside the analytic window, with statistical slack.
 
-    Runs at the window center t = n(k-1)/(2k(n-1)) (`spike_center`), where
-    1 - 2t = (n-k)/((n-1)k).  The published Theorem C center n(k+1)/(2k(n-1))
-    exceeds 1/2, so the value consistent with the B_{k,delta} window is used.
-    That t lies in k's band, floor(1 / (1 - 2t)) = k, iff n > k^2.
+    Runs at the window center, the spike centre t = n(k-1)/(2k(n-1))
+    (`_spike_t`).  The published Theorem C center n(k+1)/(2k(n-1)) exceeds
+    1/2, so the value consistent with the B_{k,delta} window is used.
     """
+    t = _spike_t("c", k, n)
     if not 0 <= slack < math.inf:  # nan fails too
         raise DomainError(f"slack must be >= 0 and finite, got {slack}")
     if delta is None:
         delta = k * omega(k) / 2
     beta_lower, beta_upper = elder_c_bounds(k, delta)
-    if not n > k * k:
-        raise DomainError(
-            f"verify c needs n > k^2, so that its t = n(k-1)/(2k(n-1)) lies in "
-            f"k's band; got n={n}, k={k}"
-        )
-    t = spike_center(k, n)
     census = run_census(n, t, trials, master_seed, workers=workers, cross_check=False)
     est = estimate_B(census, k, delta)
     lo = beta_lower - slack

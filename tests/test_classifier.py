@@ -1,5 +1,7 @@
 """Homotopy-type classification: window counts, the rotation rule, and its
-agreement with the orbit-walk reference, the homology oracle and the Euler DP."""
+agreement with the orbit-walk reference, the homology oracle, the Euler DP
+and the known types of blown-up evenly spaced points."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -259,3 +261,71 @@ def test_types_from_counts_decide_each_row_of_a_mixed_block_alone():
     assert got == [_row_types(block[i:i + 1])[0] for i in range(len(block))]
     assert got == [_reference_type(row) for row in block.tolist()]
     assert want[5] == n_k_homotopy(6, 3) and want[7] == n_k_homotopy(6, 4)
+
+
+# ---------------------------------------------------------------------------
+# Blow-ups of evenly spaced points: a known type at every n
+# ---------------------------------------------------------------------------
+
+GRID = 2**53  # a Philox double is a multiple of 2^-53
+
+
+def _blow_up(rng, m: int, j: int, n: int, upper: bool, exact: bool):
+    """n points near m evenly spaced ones, each base point used at least
+    once, and a t with 2t in (j/m, (j+1)/m), 2^-e/m from its upper or lower
+    end for a drawn e in [1, 30].
+
+    Each point lies less than half the margin of 2t to either end from its
+    base point, so a set of points lies in a closed arc of length 2t exactly
+    when its base points do.  The complex is then N(m, j) with each vertex
+    blown up to a simplex of its copies, of type n_k_homotopy(m, j).  With
+    `exact` the base points are i/m and the offsets and t are Fractions;
+    otherwise every position is a multiple of 2^-53, as a Philox draw is,
+    and t is a float.  Either way the points are rotated by a shift on that
+    grid.
+    """
+    d = Fraction(1, m * 2 ** int(rng.integers(1, 31)))
+    two_t = Fraction(j + 1, m) - d if upper else Fraction(j, m) + d
+    t = two_t / 2 if exact else float(two_t / 2)
+    margin = min(2 * Fraction(t) - Fraction(j, m), Fraction(j + 1, m) - 2 * Fraction(t))
+    base = np.r_[np.arange(m), rng.integers(0, m, n - m)]
+    shift = int(rng.integers(0, GRID))
+    if exact:
+        offsets = (margin * Fraction(int(r), 2000) for r in rng.integers(-999, 1000, n))
+        return [(Fraction(i, m) + o + Fraction(shift, GRID)) % 1 for i, o in zip(base.tolist(), offsets)], t
+    # i/m rounded to the grid moves a distance by up to one step, so 2w + 1 < margin * 2^53
+    w = (math.floor(margin * GRID) - 2) // 2
+    steps = (2 * GRID * base + m) // (2 * m) + rng.integers(-w, w + 1, n) + shift
+    return (steps % GRID / GRID).tolist(), t  # exact: every step count is below 2^53
+
+
+def test_classify_blow_ups_of_evenly_spaced_points():
+    rng = np.random.default_rng(81)
+    for m in range(2, 13):
+        for j in range(m):
+            want = n_k_homotopy(m, j)
+            for upper in (False, True):
+                for exact, most in ((True, 40), (False, 3000)):
+                    n = m + int(rng.integers(0, most))
+                    points, t = _blow_up(rng, m, j, n, upper, exact)
+                    config = PointConfig(points)
+                    assert classify(config, t) == want, (m, j, n, t)
+                    assert allowed_types(config.n, t).allows(want)
+
+
+@pytest.mark.parametrize("n", [12, 13, 40, 1000, 4000])
+def test_types_from_counts_on_blocks_of_blow_ups(n):
+    # every (m, j) with m <= min(n, 12), 2t near each end of its interval,
+    # as float rows, and as Fraction rows up to n = 13, in one block
+    rng = np.random.default_rng(n)
+    rows, want = [], []
+    kinds = (False, True) if n <= 13 else (False,)
+    for m in range(2, min(n, 12) + 1):
+        for j in range(m):
+            for upper in (False, True):
+                for exact in kinds:
+                    points, t = _blow_up(rng, m, j, n, upper, exact)
+                    rows.append(window_counts(np.array(sorted(points), dtype=object if exact else float), t))
+                    want.append(n_k_homotopy(m, j))
+                    assert allowed_types(n, t).allows(want[-1])
+    assert _row_types(np.array(rows)) == want

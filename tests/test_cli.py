@@ -437,7 +437,7 @@ THEOREM_ARGV = {
 
 @pytest.mark.parametrize("theorem, flag", [
     ("a1", "--k"), ("a1", "--delta"), ("a1", "--slack"), ("a1", "--margin"),
-    ("a2", "--delta"), ("a2", "--slack"),
+    ("a2", "--t"), ("a2", "--delta"), ("a2", "--slack"),
     ("b", "--delta"), ("b", "--slack"), ("b", "--margin"),
     ("c", "--t"), ("c", "--margin"),
 ])
@@ -470,7 +470,7 @@ def test_verify_c_with_n_at_most_k_squared_usage_error(capsys, monkeypatch, n):
 
 @pytest.mark.parametrize("k", ["2", "3"])
 def test_verify_a2_with_n_at_most_k_and_no_t_usage_error(capsys, monkeypatch, k):
-    # its default t = n(k-1)/(2k(n-1)) lies in k's band iff n > k^2 (n = 8 at
+    # its t = n(k-1)/(2k(n-1)) lies in k's band iff n > k^2 (n = 8 at
     # k = 3 would run at t = 0.381, in band 4); no trial runs
     from cechcircle import montecarlo
 
@@ -479,8 +479,35 @@ def test_verify_a2_with_n_at_most_k_and_no_t_usage_error(capsys, monkeypatch, k)
         code, out, err = run_cli(capsys, "verify", "a2", "--k", k, "--n", n, "--trials", "5", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: verify a2 needs n > k^2 without --t, so that its default t")
+        assert err.startswith("error: verify a2 needs n > k^2, so that its t")
         assert f"n={n}, k={k}" in err
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+@pytest.mark.parametrize("theorem, n", [("a2", "50"), ("c", "100")])
+def test_verify_spike_theorem_with_k_below_2_usage_error(capsys, monkeypatch, theorem, n, k):
+    # both sample at the k-th spike centre, which needs k >= 2; no trial runs
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", theorem, "--k", k, "--n", n, "--trials", "5", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: k must be >= 2\n")
+
+
+@pytest.mark.parametrize("k, n, margin", [
+    ("2", "19", []), ("2", "20", []), ("3", "10", []), ("2", "50", ["--margin", "0"]),
+])
+def test_verify_a2_with_n_at_most_1_over_margin_usage_error(capsys, monkeypatch, k, n, margin):
+    # b_(2k-2) sits about one per sample below chi, so at n * margin <= 1 the
+    # lower side tests that offset, not the theorem; no trial runs
+    from cechcircle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", "a2", "--k", k, "--n", n, "--trials", "5", "--seed", "1", *margin)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify a2 needs n > 1/margin")
+    assert f"n={n}, margin={float(margin[1]) if margin else 0.05}, 1/margin=" in err
 
 
 def test_verify_bad_theorem_name(capsys):
@@ -601,11 +628,16 @@ def test_every_command_runs_without_the_tests_on_the_path(tmp_path):
     assert proc.stdout == f"{[0] * len(commands)} []\n"
 
 
+def _readme_cli_block() -> str:
+    """The sh block of README's `## CLI` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
     # every `cechcircle ...` line of README's CLI block, verbatim
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cechcircle ")]
+    commands = [shlex.split(line)[1:] for line in _readme_cli_block().splitlines()
+                if line.startswith("cechcircle ")]
     assert len(commands) >= 8
     (tmp_path / "points.txt").write_text("0\n0.2\n0.4\n0.6\n0.8\n")
     monkeypatch.chdir(tmp_path)
@@ -650,7 +682,7 @@ COMMAND_FLAGS = {
     "census": "--n --t --trials --seed --threads --output",
     "classify": "--input --t --output",
     "verify a1": "--n --t --trials --seed --threads --output",
-    "verify a2": "--k --n --t --margin --trials --seed --threads --output",
+    "verify a2": "--k --n --margin --trials --seed --threads --output",
     "verify b": "--k --n --t --trials --seed --threads --output",
     "verify c": "--k --n --delta --slack --trials --seed --threads --output",
 }
@@ -676,6 +708,19 @@ def test_command_help_lists_exactly_its_flags(capsys, command):
     assert exc.value.code == 0
     assert out.startswith(f"usage: cechcircle {command} ")
     assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *COMMAND_FLAGS[command].split()}
+
+
+def test_readme_verify_flag_table_matches_the_parsers():
+    # README's CLI block lists each theorem's own flags, one line each, from
+    # `#   a1  --t` to `#   c   --k ...`; the common flags are listed above them
+    import re
+
+    table = re.findall(r"^#   (a1|a2|b|c) +((?:\[?--[a-z-]+\]? )+)", _readme_cli_block(), re.MULTILINE)
+    assert [theorem for theorem, _ in table] == ["a1", "a2", "b", "c"]
+    common = {"--n", "--trials", "--seed", "--threads", "--output"}
+    for theorem, flags in table:
+        listed = set(re.findall(r"--[a-z-]+", flags)) | common
+        assert listed == {*cli.COMMANDS[f"verify {theorem}"][2], "--output"}, theorem
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,9 +20,10 @@ batched, exact `window_counts` call, so memory does not grow with the
 number of trials.
 An outcome reads the whole block of count rows and gives each row's result,
 computed per block: the census runs it through the guard step
-`classify._classified` and counts each distinct type once, and the chi
-estimator runs the DP.  A repeated position is one more vertex; nothing
-dedups it.  Results are therefore bit-identical regardless of execution
+`classify._classified`, which for n up to `classify.DISTINCT_ROWS_MAX_N`
+classifies and checks each distinct count row of the block once, and counts
+each distinct type once, and the chi estimator runs the DP.  A repeated
+position is one more vertex; nothing dedups it.  Results are therefore bit-identical regardless of execution
 order, block size or worker count.
 An estimate is a mean and its standard error, read from the tally of values
 (value -> number of trials) without a list per trial.
@@ -36,6 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
 
@@ -460,7 +462,15 @@ def verify_theorem_a2(
 def verify_theorem_b(
     k: int, n: int, t: float, trials: int, master_seed: int, workers: int = 1,
 ) -> VerifyReport:
-    """Frequency of S^(2k+1) against the coverage bound Q_n(r'/2)."""
+    """Frequency f of S^(2k+1) against the coverage bound Q_n(r'/2).
+
+    For k >= 1 the check is one-sided, f >= bound - 3 standard errors: the
+    theorem bounds the frequency from below only.  At k = 0 every allowed t
+    is below 1/4, where a sample is S^1 exactly when its arcs of length 2t
+    cover the circle, so f estimates `exact` = Q_n(2t), and the check is
+    two-sided at alpha = 1e-3: |z| <= 3.29 for z = (f - Q) / sqrt(Q (1 - Q)
+    / trials).  Where Q (1 - Q) is 0 in floats, z is None and f must equal Q.
+    """
     params = theorem_b_params(k)
     if not abs(t - params.nu_k) < params.tau_k:
         raise DomainError(
@@ -470,12 +480,23 @@ def verify_theorem_b(
     est = proportion_estimate(census.counts.get(HomotopyType.odd_sphere(k), 0), trials)
     r_prime = params.r_prime(t)
     bound = coverage_probability(n, r_prime)  # Q_n(r'/2) has arc length r'
-    passed = est.mean >= bound - 3 * est.std_error
-    return VerifyReport("b", passed, {
+    details = {
         "k": k, "n": n, "t": t, "trials": trials, "master_seed": master_seed,
         "frequency": est.mean, "std_error": est.std_error,
-        "bound": bound, "r_prime": r_prime,
-    })
+        "bound": bound, "r_prime": r_prime, "check": "one-sided",
+    }
+    if k:
+        passed = est.mean >= bound - 3 * est.std_error
+    else:
+        exact = coverage_probability(n, 2 * t)
+        variance = exact * (1 - exact)
+        if variance:
+            z = (est.mean - exact) / math.sqrt(variance / trials)
+            passed = abs(z) <= NormalDist().inv_cdf(1 - 1e-3 / 2)
+        else:
+            z, passed = None, est.mean == exact
+        details.update(check="two-sided", exact=exact, z=z)
+    return VerifyReport("b", passed, details)
 
 
 def verify_theorem_elder_c(

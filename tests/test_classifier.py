@@ -2,6 +2,7 @@
 agreement with the orbit-walk reference, the homology oracle, the Euler DP
 and the known types of blown-up evenly spaced points."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from cechcircle import HomotopyType, PointConfig, allowed_types, classify
 from cechcircle.circle import window_counts
-from cechcircle.classify import types_from_counts
+from cechcircle.classify import DISTINCT_ROWS_MAX_N, _classified, types_from_counts
 from cechcircle.errors import DomainError, InternalInconsistencyError
 
 from conftest import philox_block, random_config, rational_grid_instance
-from reference import betti_gf2, build_complex, euler_char_exact, n_k_homotopy, uniform_config
+from reference import betti_gf2, build_complex, euler_char_exact, n_k_homotopy, trial_rng, uniform_config
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +44,11 @@ def test_homotopy_type_json_round_trip():
     assert HomotopyType.wedge_even(1, 1).to_json() == {"kind": "even", "a": 1, "l": 1}
 
 
-def test_dismantle_removes_crowded_point():
-    # 0.01 is dominated by 0: dropping it leaves uniform_config(4), whose
-    # windows at t = 0.26 all hold 2 further points, i.e. N(4, 2) = S^2
+def test_crowded_point_has_the_type_of_its_blow_down():
+    # at t = 0.26 a set of these points lies in a closed arc of length 2t
+    # exactly when it does with 0.01 moved onto 0, so the complex is that of
+    # uniform_config(4), whose windows all hold 2 further points, with the
+    # vertex 0 blown up to an edge, and has its type N(4, 2) = S^2
     crowded = PointConfig([0, 0.01, 0.25, 0.5, 0.75])
     reduced = uniform_config(4)
     assert window_counts(reduced.positions, Fraction(26, 100)).tolist() == [2, 2, 2, 2]
@@ -261,6 +264,34 @@ def test_types_from_counts_decide_each_row_of_a_mixed_block_alone():
     assert got == [_row_types(block[i:i + 1])[0] for i in range(len(block))]
     assert got == [_reference_type(row) for row in block.tolist()]
     assert want[5] == n_k_homotopy(6, 3) and want[7] == n_k_homotopy(6, 4)
+
+
+@st.composite
+def repeating_block(draw):
+    """A block of count rows at n <= DISTINCT_ROWS_MAX_N + 2 and a t = j/(4d):
+    Philox rows, and rows of points i/d whose gaps and windows tie, each
+    repeated, all in a drawn order."""
+    n = draw(st.integers(1, DISTINCT_ROWS_MAX_N + 2))
+    d = draw(st.integers(n, 24))
+    t = Fraction(draw(st.integers(1, 2 * d - 1)), 4 * d)
+    seed = draw(st.integers(0, 2**64 - 1))
+    xs = np.reshape([trial_rng(seed, i).random(n) for i in range(draw(st.integers(0, 40)))], (-1, n))
+    rows = list(window_counts(np.sort(xs, axis=1), t))  # float rows, exact against a Fraction t
+    for idx in draw(st.lists(st.sets(st.integers(0, d - 1), min_size=n, max_size=n), min_size=1, max_size=6)):
+        ties = window_counts(np.array(sorted(Fraction(i, d) for i in idx), dtype=object), t)
+        rows += [ties] * draw(st.integers(1, 8))
+    return np.array(draw(st.permutations(rows))), t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(repeating_block())
+def test_guard_step_counts_each_row_of_a_repeating_block_as_alone(block):
+    # on either side of DISTINCT_ROWS_MAX_N, where the guard step decides
+    # each distinct row once and weights it by its repeats
+    counts, t = block
+    n = counts.shape[1]
+    want = Counter(types_from_counts(row[None])[0][0] for row in counts)
+    assert _classified(counts, allowed_types(n, t), cross_check=True) == want
 
 
 # ---------------------------------------------------------------------------

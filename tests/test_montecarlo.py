@@ -88,6 +88,30 @@ def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
     assert rows == [4096 // 30]  # the first block of 136 samples, not all 400
 
 
+def test_constraint_check_names_the_earliest_trial_of_a_repeated_type(monkeypatch):
+    # at n = 5 <= DISTINCT_ROWS_MAX_N the guard step decides each distinct
+    # count row once, in key order; S^1 takes about a third of these trials,
+    # in dozens of distinct rows, and its row of least key first occurs
+    # after its first trial, which the error must still name
+    from cechcircle import AllowedTypes, InternalInconsistencyError, PointConfig, classify
+    from cechcircle.circle import window_counts
+    from cechcircle.classify import DISTINCT_ROWS_MAX_N
+
+    n, t, trials, seed = 5, 0.2, 400, 0
+    assert n <= DISTINCT_ROWS_MAX_N
+    s1 = HomotopyType.odd_sphere(0)
+    samples = [np.sort(trial_rng(seed, i).random(n)) for i in range(trials)]
+    hits = [i for i, xs in enumerate(samples) if classify(PointConfig(xs.tolist()), t) == s1]
+    keys = [int(window_counts(samples[i], t) @ n ** np.arange(n)) for i in hits]
+    assert len(hits) > 100 and hits[keys.index(min(keys))] > hits[0]
+    allows = AllowedTypes.allows
+    monkeypatch.setattr(AllowedTypes, "allows", lambda self, ht: ht != s1 and allows(self, ht))
+    with pytest.raises(InternalInconsistencyError) as err:
+        run_census(n, t, trials, seed)
+    assert str(err.value) == (f"classified type S^1 outside the constraint set for n={n} "
+                              f"at t={t}, positions {tuple(samples[hits[0]].tolist())}")
+
+
 def _in_process_pool(started, mapped=None):
     """A stand-in for ProcessPoolExecutor that records its size, and in
     `mapped` the blocks it is given, and runs them in this process."""
@@ -686,6 +710,29 @@ def test_theorem_b_s1_count_follows_the_coverage_law():
     assert abs(z) <= NormalDist().inv_cdf(1 - 1e-3 / 2), z
 
 
+def test_verify_b_at_k0_fails_a_planted_wrong_frequency(monkeypatch):
+    # at k = 0 the S^1 frequency has the exact law Q_20(0.2) = 0.7233; moving
+    # 2% of the trials from S^1 to the point gives z of about -5.7, which the
+    # one-sided bound Q_20(0.1) = 0.0037 would still pass
+    from cechcircle import montecarlo
+
+    args = (0, 20, 0.1, 20_000, 3)
+    report = verify_theorem_b(*args)
+    assert report.passed and report.details["check"] == "two-sided"
+    assert report.details["exact"] == coverage_probability(20, 0.2) and abs(report.details["z"]) < 1
+
+    def planted(*census_args, **kwargs):
+        census = run_census(*census_args, **kwargs)
+        census.counts[HomotopyType.odd_sphere(0)] -= census.trials // 50
+        census.counts[HomotopyType.point()] += census.trials // 50
+        return census
+
+    monkeypatch.setattr(montecarlo, "run_census", planted)
+    report = verify_theorem_b(*args)
+    assert not report.passed
+    assert report.details["frequency"] >= report.details["bound"] and report.details["z"] < -5
+
+
 def test_verify_b_rejects_t_outside_window():
     with pytest.raises(DomainError):
         verify_theorem_b(0, 50, 0.3, 100, master_seed=1)
@@ -731,6 +778,7 @@ GOLDEN_DETAILS = {
     "b": (verify_theorem_b, (0, 200, 0.125, 200, 3), {
         "k": 0, "n": 200, "t": 0.125, "trials": 200, "master_seed": 3,
         "frequency": 1.0, "std_error": 0.0, "bound": 0.9999999994237213, "r_prime": 0.125,
+        "check": "two-sided", "exact": 1.0, "z": None,
     }),
     "c": (verify_theorem_elder_c, (2, 100, 300, 3), {
         "k": 2, "n": 100, "t": 0.25252525252525254, "trials": 300, "master_seed": 3,
@@ -777,4 +825,25 @@ def test_census_counts_pinned(monkeypatch, workers):
     census = run_census(30, 0.26, 400, 11, workers=workers)
     assert census.counts == {HomotopyType.wedge_even(a, 1): c for a, c in GOLDEN_CENSUS.items()}
     assert census.chi_checked == 400
+    assert started == ([2] if workers == 2 else [])
+
+
+# run_census at n <= DISTINCT_ROWS_MAX_N, where the guard step decides each
+# distinct count row of a block once: the census_tiny benchmark call, and a
+# census at the cut-off n = 7 in the k = 2 band with four types
+GOLDEN_SMALL_CENSUS = {
+    (5, 0.2, 2000, 0): {HomotopyType.point(): 1234, HomotopyType.wedge_even(1, 0): 31,
+                        HomotopyType.odd_sphere(0): 735},
+    (7, 0.28, 2000, 5): {HomotopyType.point(): 1123, HomotopyType.odd_sphere(0): 78,
+                         HomotopyType.wedge_even(1, 1): 727, HomotopyType.wedge_even(2, 1): 72},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("args", sorted(GOLDEN_SMALL_CENSUS), ids=lambda args: f"n{args[0]}")
+def test_small_n_census_counts_pinned(monkeypatch, args, workers):
+    started = _pools_started(monkeypatch, workers)
+    census = run_census(*args, workers=workers)
+    assert census.counts == GOLDEN_SMALL_CENSUS[args]
+    assert census.chi_checked == args[2]
     assert started == ([2] if workers == 2 else [])

@@ -15,11 +15,10 @@ winds w = s/|S| times per step.  `types_from_counts` decides a whole block
 of count rows at once and gives its distinct types and each row's index.
 `_classified`, the one guard step, checks each type of a block against the
 realizability constraint set and, on request, its Euler characteristic
-against the gap DP's; a failure is an internal error.  For n up to
-DISTINCT_ROWS_MAX_N (7), where a block repeats most of its count rows, it
-classifies and checks each distinct row once and counts it with its
-repeats.  The census runs every block of samples through it, `classify` its
-one row with the cross-check.
+against the gap DP's; a failure is an internal error.  The census runs every
+block of samples through it, as the trial engine hands it over (each
+distinct count row once for small n), and `classify` its one row with the
+cross-check.
 """
 from __future__ import annotations
 
@@ -32,25 +31,6 @@ from .errors import DomainError, InternalInconsistencyError
 from .exact import AllowedTypes, allowed_types
 from .homotopy import HomotopyType
 
-# `_classified` decides each distinct count row of a block once for n <= this.
-# A block holds 16 384 // n rows, of at most C(2n-1, n-1) possible ones (462
-# at n = 6, 1 716 at n = 7), so rows repeat at small n and are nearly all
-# distinct at larger n, where the key and its sort are pure cost.
-# `_classified` on one engine block (seed 7, cross-checked), every row ->
-# distinct rows, µs, medians of 201 alternating calls, on a 2-core Xeon VM at
-# numpy 2.4, in a fast run A and a slower run B:
-#   n    t = 0.2: A       B              t = 0.42: A     B
-#   4    1 211 ->   286   1 624 ->   395     501 -> 247    545 -> 291
-#   5    1 242 ->   331   1 273 ->   343     446 -> 222    436 -> 209
-#   6    1 430 ->   507   1 635 ->   588     376 -> 225    380 -> 220
-#   7    1 129 ->   612   1 202 ->   671     351 -> 263    343 -> 259
-#   8    1 099 ->   834   1 641 -> 1 278     356 -> 345    343 -> 344
-#   9    1 090 -> 1 054   1 478 -> 1 436     372 -> 432    368 -> 426
-#   10   1 016 -> 1 051   1 077 -> 1 132     376 -> 479    344 -> 436
-# On a grid of t from 0.05 to 0.49, n = 7 won at every t, by 13% or more,
-# while n = 8 lost at t = 0.4 and 0.42 (660 -> 696 and 511 -> 572 µs).
-DISTINCT_ROWS_MAX_N = 7
-
 
 def classify(config: PointConfig, t) -> HomotopyType:
     """Exact homotopy type of Cech(config, t) for finite t > 0, through the guard step."""
@@ -60,48 +40,30 @@ def classify(config: PointConfig, t) -> HomotopyType:
         return HomotopyType.point()
     allowed = allowed_types(config.n, t)
     try:
-        (ht,) = _classified(window_counts([config.positions], t), allowed, cross_check=True)
+        (ht,), _ = _classified(window_counts([config.positions], t), allowed, cross_check=True)
     except InternalInconsistencyError as exc:
         raise InternalInconsistencyError(f"{exc.args[0]} at t={float(t)}") from None
     return ht
 
 
-def _classified(counts: np.ndarray, allowed: AllowedTypes, cross_check: bool) -> dict[HomotopyType, int]:
-    """The homotopy types of a `(rows, n)` block of window count rows, each
-    with its number of rows.  The first row whose type `allowed` rejects or,
-    with `cross_check`, whose Euler characteristic is not the gap DP's raises
-    InternalInconsistencyError(message, row).
-
-    The type, the constraint check and the DP's chi each depend on the count
-    row alone, so for n <= DISTINCT_ROWS_MAX_N each distinct row is decided
-    once, in the order of its key sum(c_i n^i) (exact in int64 for n <= 15),
-    and each type counted with the number of rows of its distinct rows.  On
-    a failure the verdicts go back to every row, so the first failing row
-    is named, as without the step."""
-    rows, n = counts.shape
-    weight = None
-    if n <= DISTINCT_ROWS_MAX_N:
-        key = counts @ n ** np.arange(n, dtype=np.int64)
-        order = key.argsort()
-        new = np.diff(key[order], prepend=-1) != 0  # keys are >= 0
-        starts = np.flatnonzero(new)
-        weight = np.diff(starts, append=rows)
-        counts = counts[order[starts]]
+def _classified(counts: np.ndarray, allowed: AllowedTypes,
+                cross_check: bool) -> tuple[list[HomotopyType], np.ndarray]:
+    """The distinct homotopy types of a `(rows, n)` block of window count
+    rows and each row's index among them, as `types_from_counts` gives them.
+    The first row whose type `allowed` rejects or, with `cross_check`, whose
+    Euler characteristic is not the gap DP's raises
+    InternalInconsistencyError(message, row)."""
     types, index = types_from_counts(counts)
     outside = ~np.array([allowed.allows(ht) for ht in types])[index]
     wrong = outside.copy()
     if cross_check:
         wrong |= np.array([ht.euler_characteristic() for ht in types])[index] != _eulers_from_counts(counts)
     if wrong.any():
-        if weight is not None:  # each row's distinct row, for the earliest failing row
-            distinct = np.empty(rows, dtype=np.intp)
-            distinct[order] = new.cumsum() - 1
-            index, outside, wrong = index[distinct], outside[distinct], wrong[distinct]
         ht, row = types[index[wrong.argmax()]], int(wrong.argmax())
         raise InternalInconsistencyError(
             f"classified type {ht.display()} outside the constraint set for n={allowed.n}"
             if outside[row] else f"Euler cross-check failed for {ht.display()}", row)
-    return dict(zip(types, np.bincount(index, weight).astype(np.int64).tolist()))
+    return types, index
 
 
 def types_from_counts(counts: np.ndarray) -> tuple[list[HomotopyType], np.ndarray]:

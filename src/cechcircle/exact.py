@@ -69,7 +69,10 @@ def expected_euler_char(n: int, t) -> float:
     """Expected Euler characteristic of the Cech complex of n uniform points.
 
     With r = 1 - 2t this is sum_{k=1}^{floor(1/r)} C(n,k)(1-kr)^(k-1)(kr)^(n-k);
-    all summands are nonnegative.  Returns 1 for t >= 1/2 (full simplex).
+    all summands are nonnegative.  Returns exactly 1 where n r <= 1 (t >= 1/2
+    included): every sample is then the full simplex, as its largest gap is
+    at least 1/n >= r, and with every summand kept the sum is 1 by Abel's
+    identity.
     The log of a summand is concave in k, so the summands rise to one mode
     and fall away from it: they are summed outward from the mode until the
     ones left, each at most the last summed on its side, cannot change the
@@ -79,10 +82,9 @@ def expected_euler_char(n: int, t) -> float:
         raise DomainError("n must be >= 1")
     if not t > 0:  # nan fails too
         raise DomainError("t must be > 0")
-    t = float(t)
-    if t >= 0.5:
+    r = 1.0 - 2.0 * float(t)
+    if n * r <= 1.0:
         return 1.0
-    r = 1.0 - 2.0 * t
     last = min(n, int(1.0 / r) + 1)
     while last * r > 1.0:
         last -= 1  # the summands are those with k * r <= 1 in floats

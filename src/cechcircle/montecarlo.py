@@ -18,13 +18,16 @@ trial's key from a state dict of Python ints.  Both give each row exactly
 its trial's stream.  The rows are sorted together and counted by one
 batched, exact `window_counts` call, so memory does not grow with the
 number of trials.
-An outcome reads the whole block of count rows and gives each row's result,
-computed per block: the census runs it through the guard step
-`classify._classified`, which for n up to `classify.DISTINCT_ROWS_MAX_N`
-classifies and checks each distinct count row of the block once, and counts
-each distinct type once, and the chi estimator runs the DP.  A repeated
-position is one more vertex; nothing dedups it.  Results are therefore bit-identical regardless of execution
-order, block size or worker count.
+An outcome reads a block of count rows and returns one form: its distinct
+results, as a list, and each row's index among them, which one `np.bincount`
+tallies.  For n up to DISTINCT_ROWS_MAX_N (7), where a block repeats most of
+its count rows, the engine hands the outcome each distinct count row once,
+in order of first appearance, and weights its results by their rows; an
+outcome reads each count row alone, so this changes no result, and the
+first failing row it names is the earliest failing trial.  The census's
+outcome is the guard step `classify._classified`, the chi estimator's the
+gap DP.  Results are therefore bit-identical regardless of execution order,
+block size or worker count.
 An estimate is a mean and its standard error, read from the tally of values
 (value -> number of trials) without a list per trial.
 """
@@ -89,6 +92,40 @@ POOL_POSITIONS = 2**20
 # about 4% slower than in two blocks, as glibc hands the block's freed heap
 # back and the next call page-faults it in.
 BLOCK_POSITIONS = 16384
+# For n <= DISTINCT_ROWS_MAX_N `_tally_block` hands the outcome each distinct
+# count row of a block once.  A block holds BLOCK_POSITIONS // n rows, of at
+# most C(2n-1, n-1) possible ones (462 at n = 6, 1 716 at n = 7), so rows
+# repeat at small n and are nearly all distinct at larger n, where the key
+# and its sort are pure cost.  The cross-checked census outcome on one
+# engine block (seed 7), every row -> distinct rows, µs, medians of 201
+# alternating calls, on a 2-core Xeon VM at numpy 2.4, in a fast run A and a
+# slower run B (with the distinct rows in key order; putting them in order
+# of first appearance adds 8-18 µs at n = 5 and 7):
+#   n    t = 0.2: A       B              t = 0.42: A     B
+#   4    1 211 ->   286   1 624 ->   395     501 -> 247    545 -> 291
+#   5    1 242 ->   331   1 273 ->   343     446 -> 222    436 -> 209
+#   6    1 430 ->   507   1 635 ->   588     376 -> 225    380 -> 220
+#   7    1 129 ->   612   1 202 ->   671     351 -> 263    343 -> 259
+#   8    1 099 ->   834   1 641 -> 1 278     356 -> 345    343 -> 344
+#   9    1 090 -> 1 054   1 478 -> 1 436     372 -> 432    368 -> 426
+#   10   1 016 -> 1 051   1 077 -> 1 132     376 -> 479    344 -> 436
+# On a grid of t from 0.05 to 0.49, n = 7 won at every t, by 13% or more,
+# while n = 8 lost at t = 0.4 and 0.42 (660 -> 696 and 511 -> 572 µs).
+# The chi estimator's outcome `_eulers` with its tally, every row -> distinct
+# rows in order of first appearance, on the same blocks, two runs C and D
+# (both in one phase of the VM):
+#   n    t = 0.2: C     D            t = 0.42: C   D
+#   3    710 -> 219   702 -> 213     335 -> 177   315 -> 164
+#   4    765 -> 210   700 -> 189     249 -> 166   265 -> 176
+#   5    700 -> 206   669 -> 198     213 -> 145   217 -> 145
+#   6    671 -> 271   723 -> 305     181 -> 147   196 -> 156
+#   7    623 -> 402   620 -> 404     172 -> 187   161 -> 173
+#   8    575 -> 526   648 -> 607     148 -> 214   159 -> 240
+#   9    513 -> 570   514 -> 570     167 -> 279   163 -> 272
+#   10   510 -> 611   490 -> 592     161 -> 283   149 -> 261
+# It loses 7-9% at n = 7, t = 0.42, where the census gains, so one cut-off
+# serves both outcomes.
+DISTINCT_ROWS_MAX_N = 7
 # Blocks of n <= PHILOX_KERNEL_MAX_N (at least 512 rows) are drawn by
 # `_philox_rows`, all rows at once; larger n reset a generator per row.  The
 # kernel's cost is about fixed per block, so per row it grows with n, while
@@ -147,19 +184,18 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     """Multiset of the results that outcome(block of window count rows at t)
     gives, one per row, over the samples of trials i < trials.
 
-    An outcome returns what `Counter.update` takes: one result per row, or
-    each result with its number of rows.  An InternalInconsistencyError
-    with args (message, row) is raised again naming t and the row's
-    positions.  The trials are cut from 0 into blocks of
-    max(1, BLOCK_POSITIONS // n) rows.  With p = min(workers, usable CPUs,
-    blocks) > 1 and trials * n >= POOL_POSITIONS, a pool of p processes
-    runs every block, about 16 tasks a process; `outcome` must then be
-    picklable.  Otherwise the calling process runs the blocks in order, so
-    the pool and its size follow from (n, trials, workers, usable CPUs)
-    alone.  Either way the error of the earliest failing block is raised,
-    and `workers` never changes the result.  The usable CPUs are those this
-    process may run on (its affinity mask, where the platform has one), not
-    all the machine's.
+    An outcome returns its distinct results, as a list, and each row's index
+    among them.  An InternalInconsistencyError with args (message, row) is
+    raised again naming t and the row's positions.  The trials are cut from
+    0 into blocks of max(1, BLOCK_POSITIONS // n) rows.  With p =
+    min(workers, usable CPUs, blocks) > 1 and trials * n >= POOL_POSITIONS,
+    a pool of p processes runs every block, about 16 tasks a process;
+    `outcome` must then be picklable.  Otherwise the calling process runs
+    the blocks in order, so the pool and its size follow from (n, trials,
+    workers, usable CPUs) alone.  Either way the error of the earliest
+    failing block is raised, and `workers` never changes the result.  The
+    usable CPUs are those this process may run on (its affinity mask, where
+    the platform has one), not all the machine's.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -188,7 +224,7 @@ def _tally(outcome, n: int, t, trials: int, master_seed: int, workers: int) -> C
     return counts
 
 
-def _tally_block(outcome, n: int, t, master_seed: int, trials: range) -> Counter:
+def _tally_block(outcome, n: int, t, master_seed: int, trials: range) -> dict:
     """`_tally` over one block of trials, drawn, sorted and counted at once.
 
     Row i holds exactly the first n draws of numpy's Philox keyed
@@ -197,7 +233,10 @@ def _tally_block(outcome, n: int, t, master_seed: int, trials: range) -> Counter
     Otherwise one Philox generator serves the block and is reset before
     trial i to the state of that stream (key [master_seed, i], counter 0,
     empty buffer), given as Python ints, which the state setter reads faster
-    than numpy arrays.
+    than numpy arrays.  For n at most DISTINCT_ROWS_MAX_N the outcome reads
+    each distinct count row once, coded as sum(c_i n^i), in order of first
+    appearance: every row of a failing distinct row fails, so the first one
+    the outcome names is the block's earliest failing trial.
     """
     if n <= PHILOX_KERNEL_MAX_N:
         block = _philox_rows(master_seed, np.arange(trials.start, trials.stop, dtype=np.uint64), n)
@@ -213,12 +252,23 @@ def _tally_block(outcome, n: int, t, master_seed: int, trials: range) -> Counter
             bit_generator.state = fresh
             generator.random(out=row)
     block.sort(axis=1)
+    counts = window_counts(block, t)
+    rows, weight = range(len(block)), None
+    if n <= DISTINCT_ROWS_MAX_N:
+        code = counts @ n ** np.arange(n, dtype=np.int64)
+        order = code.argsort()
+        starts = np.flatnonzero(np.diff(code[order], prepend=-1))  # codes are >= 0
+        first = np.minimum.reduceat(order, starts)
+        by_first = first.argsort()
+        rows, weight = first[by_first], np.diff(starts, append=len(code))[by_first]
+        counts = counts[rows]
     try:
-        return Counter(outcome(window_counts(block, t)))
+        values, index = outcome(counts)
     except InternalInconsistencyError as exc:
         message, row = exc.args
-        positions = tuple(block[row].tolist())
+        positions = tuple(block[rows[row]].tolist())
         raise InternalInconsistencyError(f"{message} at t={t}, positions {positions}") from None
+    return dict(zip(values, np.bincount(index, weight).astype(np.int64).tolist()))
 
 
 @dataclass(frozen=True)
@@ -349,9 +399,12 @@ def estimate_chi(n: int, t: float, trials: int, master_seed: int, workers: int =
     return _mean_estimate(_tally(_eulers, n, t, trials, master_seed, workers))
 
 
-def _eulers(counts: np.ndarray) -> list[int]:
-    """The gap DP's Euler characteristic of each row of a block of window counts."""
-    return _eulers_from_counts(counts).tolist()
+def _eulers(counts: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct Euler characteristics, by the gap DP, of the rows of a
+    block of window counts, and each row's index among them."""
+    chi = _eulers_from_counts(counts)
+    values = np.array(sorted(set(chi.tolist())))  # np.unique's hash table costs time and ~1 MB of RSS
+    return values.tolist(), values.searchsorted(chi)
 
 
 def estimate_betti(

@@ -305,8 +305,15 @@ def estimate_coverage(n: int, radius: float, trials: int, master_seed: int) -> E
         raise DomainError("trials must be >= 2")
     if radius <= 0:
         raise DomainError("radius must be > 0")
-    counts = _tally(partial(_covers, radius=radius), n, radius, trials, master_seed, 1)
+    counts = _tally(partial(_coverage, radius=radius), n, radius, trials, master_seed, 1)
     return proportion_estimate(counts[True], trials)
+
+
+def _coverage(counts: np.ndarray, radius: float) -> tuple[list[bool], np.ndarray]:
+    """`_covers` as a trial-engine outcome: the distinct answers of the rows
+    and each row's index among them."""
+    values, index = np.unique(_covers(counts, radius), return_inverse=True)
+    return values.tolist(), index
 
 
 # ---------------------------------------------------------------------------

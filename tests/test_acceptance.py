@@ -112,9 +112,11 @@ def test_criterion_7_theorem_b():
     report = verify_theorem_b(0, 200, 0.125, 500, SEED)
     bound = report.details["bound"]
     ok = report.passed and bound > 0.99
+    z = report.details["z"]
     _report(7, ok,
-            f"S^1 frequency {report.details['frequency']:.4f} >= "
-            f"Q_200(1/16) = {bound:.6f} - 3 SE")
+            f"S^1 frequency {report.details['frequency']:.4f} against "
+            f"Q_200(1/4) = {report.details['exact']:.6f}, two-sided z = "
+            f"{'none (zero variance)' if z is None else f'{z:.3f}'}")
 
 
 def test_criterion_8_theorem_elder_c_window():

@@ -4,15 +4,18 @@ and the known types of blown-up evenly spaced points."""
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cechcircle import HomotopyType, PointConfig, allowed_types, classify
+from cechcircle import HomotopyType, PointConfig, allowed_types, classify, montecarlo
 from cechcircle.circle import window_counts
-from cechcircle.classify import DISTINCT_ROWS_MAX_N, _classified, types_from_counts
+from cechcircle.classify import _classified, types_from_counts
 from cechcircle.errors import DomainError, InternalInconsistencyError
+from cechcircle.montecarlo import DISTINCT_ROWS_MAX_N
 
 from conftest import philox_block, random_config, rational_grid_instance
 from reference import betti_gf2, build_complex, euler_char_exact, n_k_homotopy, trial_rng, uniform_config
@@ -286,12 +289,14 @@ def repeating_block(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(repeating_block())
 def test_guard_step_counts_each_row_of_a_repeating_block_as_alone(block):
-    # on either side of DISTINCT_ROWS_MAX_N, where the guard step decides
-    # each distinct row once and weights it by its repeats
+    # on either side of DISTINCT_ROWS_MAX_N, where the trial engine hands the
+    # guard step each distinct row once and weights it by its repeats
     counts, t = block
     n = counts.shape[1]
     want = Counter(types_from_counts(row[None])[0][0] for row in counts)
-    assert _classified(counts, allowed_types(n, t), cross_check=True) == want
+    outcome = partial(_classified, allowed=allowed_types(n, t), cross_check=True)
+    with mock.patch.object(montecarlo, "window_counts", lambda xs, t: counts):
+        assert montecarlo._tally_block(outcome, n, t, 0, range(len(counts))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cechcircle import (
     DomainError, HomotopyType, allowed_types, coverage_probability, elder_c_bounds,
@@ -165,12 +165,25 @@ def test_chi_float_matches_rational():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(1, 20_000), t=st.floats(1e-6, 0.5, exclude_max=True))
-@example(n=10**5, t=0.5 - 1e-9)  # 10^5 summands, the mode at k = 99 981
+@example(n=10**5, t=0.49999)  # n r = 2: 49 999 summands, the mode at k = 33 333
 @example(n=400, t=0.2525)  # verify a1's pinned payload
 @example(n=1000, t=0.4375)  # 8 * r == 1: the last summand is 0
 @example(n=7, t=0.0625)
 def test_chi_summed_from_the_mode_is_the_sum_of_every_term(n, t):
+    assume(n * (1.0 - 2.0 * t) > 1.0)  # below, every summand is kept and the sum is exactly 1
     assert expected_euler_char(n, t) == expected_euler_char_all_terms(n, t)
+
+
+def test_chi_is_exactly_one_where_every_sample_is_the_full_simplex():
+    # n r <= 1: the largest gap, at least 1/n, is at least r in every sample,
+    # and with every summand kept Abel's identity makes the sum 1, which the
+    # float summands miss by a round-off
+    for n in range(1, 30):
+        for j in range(1, 8):
+            t = 0.5 - j / (16 * n)  # r = j / (8 n) < 1 / n
+            assert expected_euler_char(n, t) == 1.0 == expected_euler_char_exact(n, t), (n, t)
+    assert expected_euler_char_all_terms(3, 0.4) != 1.0  # the round-off the closed form skips
+    assert expected_euler_char(10**6, 0.5 - 1e-9) == 1.0
 
 
 def test_chi_curve_basic():

@@ -89,13 +89,14 @@ def test_census_constraint_check_stops_at_the_first_block(monkeypatch):
 
 
 def test_constraint_check_names_the_earliest_trial_of_a_repeated_type(monkeypatch):
-    # at n = 5 <= DISTINCT_ROWS_MAX_N the guard step decides each distinct
-    # count row once, in key order; S^1 takes about a third of these trials,
-    # in dozens of distinct rows, and its row of least key first occurs
-    # after its first trial, which the error must still name
+    # at n = 5 <= DISTINCT_ROWS_MAX_N the engine hands the guard step each
+    # distinct count row once, in order of first appearance; S^1 takes about
+    # a third of these trials, in dozens of distinct rows, and its row of
+    # least key first occurs after its first trial, so an order by key would
+    # name a later trial than the first, which the error must name
     from cechcircle import AllowedTypes, InternalInconsistencyError, PointConfig, classify
     from cechcircle.circle import window_counts
-    from cechcircle.classify import DISTINCT_ROWS_MAX_N
+    from cechcircle.montecarlo import DISTINCT_ROWS_MAX_N
 
     n, t, trials, seed = 5, 0.2, 400, 0
     assert n <= DISTINCT_ROWS_MAX_N
@@ -380,9 +381,11 @@ def test_per_row_path_gives_the_trial_streams_near_the_top_of_the_key_range(monk
 EMPTY_WINDOW_ALPHA = 1e-3
 
 
-def _empty_windows(counts: np.ndarray) -> list[int]:
-    """Number of empty windows of each row: its spacings above 2t."""
-    return (counts == 0).sum(axis=1).tolist()
+def _empty_windows(counts: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Numbers of empty windows (spacings above 2t) of the rows, distinct,
+    and each row's index among them."""
+    values, index = np.unique((counts == 0).sum(axis=1), return_inverse=True)
+    return values.tolist(), index
 
 
 @functools.cache
@@ -536,7 +539,7 @@ def test_duplicate_position_is_one_more_vertex():
         t = Fraction(int(rng.integers(1, 2 * d)), 4 * d)  # ties between windows and gaps
         unique = PointConfig(xs)
         counts, unique_counts = window_counts([xs], t), window_counts([unique.positions], t)
-        ht, = _classified(counts, allowed_types(len(xs), t), True)
+        (ht,), _ = _classified(counts, allowed_types(len(xs), t), True)
         assert ht == classify(unique, t)
         multiset = SimpleNamespace(n=len(xs), positions=tuple(xs))  # a PointConfig deduplicates
         assert ht.betti() == betti_gf2(build_complex(multiset, t))
@@ -674,6 +677,15 @@ def test_verify_a1_passes():
     report = verify_theorem_a1(50, 0.2525, 2000, master_seed=3)
     assert report.passed
     assert report.details["abs_delta"] <= report.details["tolerance"]
+
+
+def test_verify_a1_passes_where_every_sample_is_the_full_simplex():
+    # n (1 - 2t) = 0.6 <= 1: chi is 1 in every trial, so the standard error
+    # and the tolerance are 0, and the closed form must be exactly 1
+    report = verify_theorem_a1(3, 0.4, 1000, 3)
+    assert report.passed
+    assert report.details["empirical_mean"] == report.details["exact"] == 1.0
+    assert report.details["tolerance"] == 0.0
 
 
 def test_verify_a2_sandwich():
@@ -819,6 +831,37 @@ def test_verify_a1_n400_payload_pinned(monkeypatch, workers):
     assert started == ([2] if workers == 2 else [])
 
 
+# verify a1 at n <= DISTINCT_ROWS_MAX_N, where the engine hands the gap DP each
+# distinct count row of a block once; every t has n (1 - 2t) > 1, so the
+# closed form sums its summands rather than returning the full simplex's 1
+A1_SMALL_N_DETAILS = {
+    (3, 0.2): (1.0746666666666667, 0.007097932473637561, 1.0800000000000007,
+               0.005333333333334078, 0.021293797420912683),
+    (3, 0.3): (0.959, 0.003620870553866287, 0.9600000000000007,
+               0.001000000000000778, 0.01086261166159886),
+    (5, 0.2): (0.636, 0.009349832191518666, 0.6480000000000008,
+               0.012000000000000788, 0.028049496574556),
+    (5, 0.38): (0.9983333333333333, 0.0007448587569592658, 0.9984000000000005,
+                6.666666666721444e-05, 0.0022345762708777975),
+    (7, 0.2): (0.3283333333333333, 0.0086398019859108, 0.32659199999999966,
+               0.00174133333333365, 0.0259194059577324),
+    (7, 0.42): (1.0, 0.0, 0.9999970140160008, 2.985983999170827e-06, 0.0),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, t", sorted(A1_SMALL_N_DETAILS))
+def test_small_n_verify_a1_payload_pinned(monkeypatch, n, t, workers):
+    mean, std_error, exact, abs_delta, tolerance = A1_SMALL_N_DETAILS[n, t]
+    started = _pools_started(monkeypatch, workers)
+    assert verify_theorem_a1(n, t, 3000, 9, workers=workers).details == {
+        "n": n, "t": t, "trials": 3000, "master_seed": 9,
+        "empirical_mean": mean, "std_error": std_error,
+        "exact": exact, "abs_delta": abs_delta, "tolerance": tolerance,
+    }
+    assert started == ([2] if workers == 2 else [])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_census_counts_pinned(monkeypatch, workers):
     started = _pools_started(monkeypatch, workers)
@@ -828,8 +871,8 @@ def test_census_counts_pinned(monkeypatch, workers):
     assert started == ([2] if workers == 2 else [])
 
 
-# run_census at n <= DISTINCT_ROWS_MAX_N, where the guard step decides each
-# distinct count row of a block once: the census_tiny benchmark call, and a
+# run_census at n <= DISTINCT_ROWS_MAX_N, where the engine hands the guard step
+# each distinct count row of a block once: the census_tiny benchmark call, and a
 # census at the cut-off n = 7 in the k = 2 band with four types
 GOLDEN_SMALL_CENSUS = {
     (5, 0.2, 2000, 0): {HomotopyType.point(): 1234, HomotopyType.wedge_even(1, 0): 31,
